@@ -53,6 +53,7 @@ from .polyring import (
     macaulay_matrix,
     monomials_of_degree,
     parse_polynomial,
+    power_ideal,
     power_of_linear,
     standard_linear_form,
 )

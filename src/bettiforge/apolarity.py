@@ -7,15 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-import numpy as np
-
 from .errors import ConsistencyError, NonArtinianError, PreconditionError, UnitIdealError
-from .exactalg import PrimeField, RowBasis, rank_of_rows
+from .exactalg import RowBasis, rank_of_rows
 from .polyring import (
     Polynomial,
     contract,
     monomial_index,
     monomials_of_degree,
+    power_of_linear,
     standard_linear_form,
 )
 from .resolver import (
@@ -28,9 +27,9 @@ from .resolver import (
 def _guard_characteristic(field, degree):
     # contraction multiplies falling factorials of exponents <= degree; a prime
     # at most that size would kill them
-    if isinstance(field, PrimeField) and field.p <= degree:
+    if 0 < field.characteristic <= degree:
         raise PreconditionError(
-            f"prime {field.p} must exceed the top degree {degree} for contraction")
+            f"prime {field.characteristic} must exceed the top degree {degree} for contraction")
 
 
 def annihilator(dual_form):
@@ -55,16 +54,11 @@ def annihilator(dual_form):
             bases[j] = RowBasis.full(ncols, field)
             continue
         target_idx = monomial_index(nvars, e - j)
-        rows = ([[field.zero] * ncols for _ in range(len(target_idx))]
-                if not isinstance(field, PrimeField)
-                else np.zeros((len(target_idx), ncols), dtype=np.int64))
+        rows = field.zeros((len(target_idx), ncols))
         for c, m in enumerate(monos):
             image = contract(Polynomial.monomial(m, field), dual_form)
             for w, val in image.coeffs.items():
-                if isinstance(field, PrimeField):
-                    rows[target_idx[w], c] = val
-                else:
-                    rows[target_idx[w]][c] = val
+                rows[target_idx[w], c] = val
         bases[j] = _kernel_row_basis(rows, ncols, field)
     slices = GradedIdealSlices(nvars, field, bases)
     if slices.quotient_dim(e) != 1:
@@ -112,11 +106,7 @@ def elementary_symmetric_dual(nvars, d, field=None):
         raise PreconditionError("need 0 <= d <= n-1 for a nonconstant contraction")
     _guard_characteristic(field, nvars)
     product = Polynomial.monomial((1,) * nvars, field)
-    ell = standard_linear_form(nvars, field)
-    power = Polynomial.constant(1, nvars, field)
-    for _ in range(d):
-        power = power * ell
-    contracted = contract(power, product)
+    contracted = contract(power_of_linear([1] * nvars, d, field), product)
     esym = elementary_symmetric(nvars, nvars - d, field)
     if contracted != esym.scale(factorial(d)):
         raise ConsistencyError("contraction of the power failed the d! e_{n-d} identity")
@@ -167,10 +157,9 @@ def lefschetz_check(source, ell=None, mode="SLP", nvars=None, field=None):
         ell = standard_linear_form(n, fld)
     powers = range(1, 2) if mode == "WLP" else range(1, s + 1)
     checks = []
+    ell_pow = Polynomial.constant(1, n, fld)
     for jpow in powers:
-        ell_pow = Polynomial.constant(1, n, fld)
-        for _ in range(jpow):
-            ell_pow = ell_pow * ell
+        ell_pow = ell_pow * ell
         for i in range(0, s - jpow + 1):
             h0, h1 = quot.hf(i), quot.hf(i + jpow)
             if h0 == 0 and h1 == 0:

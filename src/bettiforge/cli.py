@@ -29,7 +29,7 @@ from .hilbert import (
     froberg_series,
     gorenstein_linked_hilbert,
 )
-from .polyring import Polynomial, format_polynomial, parse_polynomial
+from .polyring import Polynomial, format_polynomial, parse_polynomial, power_ideal
 from .resolver import (
     GradedQuotient,
     betti_from_quotient,
@@ -140,22 +140,8 @@ def _degree_sequence(args, need_ell=True):
     return DegreeSequence(len(degrees), degrees, ell)
 
 
-def _powers_ideal(ds, field):
-    gens = [Polynomial.variable_power(i, d, ds.nvars, field)
-            for i, d in enumerate(ds.degrees)]
-    if ds.ell_power is not None:
-        from .polyring import standard_linear_form
-
-        ell = standard_linear_form(ds.nvars, field)
-        power = Polynomial.constant(1, ds.nvars, field)
-        for _ in range(ds.ell_power):
-            power = power * ell
-        gens.append(power)
-    return gens
-
-
 def _oracle_table(ds, field, colon):
-    gens = _powers_ideal(ds, field)
+    gens = power_ideal(ds.degrees, ds.ell_power, field)
     if colon:
         slices = colon_ideal(gens[:-1], gens[-1])
         return betti_from_quotient(GradedQuotient(slices))
@@ -242,7 +228,7 @@ def _cmd_betti(args):
 def _cmd_colon(args):
     field = _field(args)
     ds = _degree_sequence(args)
-    gens = _powers_ideal(ds, field)
+    gens = power_ideal(ds.degrees, ds.ell_power, field)
     if args.f:
         f = parse_polynomial(args.f, nvars=ds.nvars, field=field, require_homogeneous=True)
         slices = colon_ideal(gens, f)
@@ -300,7 +286,7 @@ def _cmd_esym(args):
 def _cmd_lefschetz(args):
     field = _field(args)
     ds = _degree_sequence(args, need_ell=args.colon or args.ell_power is not None)
-    gens = _powers_ideal(ds, field)
+    gens = power_ideal(ds.degrees, ds.ell_power, field)
     if args.colon:
         source = colon_ideal(gens[:-1], gens[-1])
     else:
@@ -350,7 +336,7 @@ def _cmd_check(args):
     t = sum(d - 1 for d in normalized.degrees[:-1]) + normalized.require_ell() - 1
     if t % 2 == 0:
         raise ParityError(t)
-    gens = _powers_ideal(normalized, field)
+    gens = power_ideal(normalized.degrees, normalized.ell_power, field)
     dmax = args.max_degree or 2 * max(ds.all_degrees()) + 2
     total = 0
     for j in range(2, dmax + 1):

@@ -1,14 +1,16 @@
 """Exact coefficient fields and the exact linear algebra everything else rides on.
 
-Two element representations are used, chosen by a field object: arbitrary
-precision rationals (`fractions.Fraction`, always normalized) and residues in
-[0, p) for a prime p < 2**31, so every product fits a 64-bit intermediate.
-Prime-field elimination is vectorized with numpy; rational elimination is a
-plain fraction loop (only small matrices ever travel that path).
+A field object fixes how its elements are stored and supplies the few array
+operations the kernels need (`zeros`, `array`, `reduce`, `inv`, `matmul`,
+`safe_terms`).  GF(p), p < 2**31 prime, keeps residues in [0, p) in int64
+arrays, so every product fits a 64-bit intermediate; QQ keeps normalized
+`fractions.Fraction` entries in object arrays.  One elimination routine,
+`_eliminate`, serves both fields, and every structure here is built on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,12 +35,38 @@ def _is_prime(p):
     return True
 
 
-class RationalField:
-    """The rationals; elements are fractions.Fraction (gcd-reduced, q > 0)."""
+class _ArrayField:
+    """The array operations both fields share; each field supplies `dtype`,
+    `zero`, `safe_terms` and `reduce`."""
+
+    def zeros(self, shape):
+        return np.full(shape, self.zero, dtype=self.dtype)
+
+    def matmul(self, a, b):
+        """Reduced a @ b, the inner dimension summed `safe_terms` products at a time."""
+        k, step = a.shape[1], self.safe_terms
+        if k == 0:
+            return self.zeros((a.shape[0], b.shape[1]))
+        if k <= step:
+            return self.reduce(a @ b)
+        acc = self.zeros((a.shape[0], b.shape[1]))
+        for s in range(0, k, step):
+            acc = self.reduce(acc + a[:, s:s + step] @ b[s:s + step])
+        return acc
+
+
+class RationalField(_ArrayField):
+    """The rationals; elements are fractions.Fraction (gcd-reduced, q > 0).
+
+    Arrays have dtype object and hold Fraction entries only, so no division
+    ever falls back to floats; sums of products never overflow.
+    """
 
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
+    dtype = object
+    safe_terms = math.inf
 
     def coerce(self, x):
         return Fraction(x)
@@ -63,6 +91,17 @@ class RationalField:
     def is_zero(self, a):
         return a == 0
 
+    def array(self, rows, ncols):
+        """A fresh len(rows) x ncols array of `rows`, every entry a Fraction."""
+        a = np.asarray(rows, dtype=object).reshape(len(rows), ncols)
+        out = self.zeros(a.shape)
+        nz = np.nonzero(a)
+        out[nz] = [Fraction(x) for x in a[nz]]
+        return out
+
+    def reduce(self, a):
+        return a
+
     def __repr__(self):
         return "QQ"
 
@@ -73,8 +112,15 @@ class RationalField:
         return hash("QQ")
 
 
-class PrimeField:
-    """GF(p) for a prime p < 2**31; elements are plain ints in [0, p)."""
+class PrimeField(_ArrayField):
+    """GF(p) for a prime p < 2**31; elements are plain ints in [0, p).
+
+    Arrays have dtype int64 and hold residues, so one product fits with room
+    to spare and `safe_terms` of them can be summed (after one residue) below
+    2**63 before a reduction is due.
+    """
+
+    dtype = np.int64
 
     def __init__(self, p):
         p = int(p)
@@ -86,6 +132,7 @@ class PrimeField:
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
+        self.safe_terms = 2**62 // ((p - 1) ** 2 + 1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -109,13 +156,23 @@ class PrimeField:
         return -a % self.p
 
     def inv(self, a):
-        a %= self.p
+        a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def array(self, rows, ncols):
+        """A fresh len(rows) x ncols int64 array of `rows` reduced into [0, p)."""
+        a = np.asarray(rows)
+        if a.dtype == object:
+            a = np.array([self.coerce(x) for x in a.ravel()], dtype=np.int64)
+        return (np.asarray(a, dtype=np.int64) % self.p).reshape(len(rows), ncols)
+
+    def reduce(self, a):
+        return a % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -158,156 +215,48 @@ def same_field(*fields):
 
 
 # ---------------------------------------------------------------------------
-# dense elimination cores
+# the elimination kernel
 
 
-def matmul_mod(a, b, p):
-    """(a @ b) % p with the inner dimension chunked so int64 never overflows."""
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    chunk = max(1, (2**62) // ((p - 1) * (p - 1)))
-    if a.shape[1] <= chunk:
-        return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, a.shape[1], chunk):
-        acc = (acc + a[:, k:k + chunk] @ b[k:k + chunk]) % p
-    return acc
+def _eliminate(a, field, full):
+    """Row-reduce the field array `a` in place and return its pivot columns.
 
-
-def _rref_mod(a, p):
-    """Full reduced row echelon of an int64 array mod p.
-
-    Pivot choice is deterministic: columns left to right, lowest remaining row.
-    Returns (pivot column list, reduced array of exactly rank rows).
+    Pivot choice is deterministic: columns left to right, lowest remaining
+    row.  Each pivot row is scaled to 1 at its pivot.  With `full`, the pivot
+    column is cleared in every other row, which leaves the reduced row echelon
+    form in the first rank rows; without it only the rows below are cleared,
+    which is all the rank needs.  Updates touch only the pivot row's nonzero
+    columns, which keeps sparse rows cheap and object arrays affordable.
     """
-    a = np.array(a, dtype=np.int64, copy=True) % p
     nrows, ncols = a.shape
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
+        if nz[0]:
+            i = r + int(nz[0])
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.flatnonzero(col)
+        nzc = np.flatnonzero(a[r])
+        prow = field.reduce(a[r, nzc] * field.inv(a[r, c]))
+        a[r, nzc] = prow
+        # after the swap, row r + nz[0] holds the old row r, which was zero at c
+        rows = r + nz[1:]
+        if full:
+            rows = np.concatenate([np.flatnonzero(a[:r, c]), rows])
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
+            block = np.ix_(rows, nzc)
+            a[block] = field.reduce(a[block] - np.outer(a[rows, c], prow))
         pivots.append(c)
-        r += 1
-    return pivots, a[:len(pivots)]
-
-
-def _rank_mod(a, p):
-    """Rank mod p by forward elimination only (no back substitution)."""
-    a = np.array(a, dtype=np.int64, copy=True) % p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        row = a[r] * inv % p
-        a[r] = row
-        below = a[r + 1:, c]
-        rows = np.flatnonzero(below)
-        if rows.size:
-            a[r + 1 + rows] = (a[r + 1 + rows] - np.outer(below[rows], row)) % p
-        r += 1
-    return r
-
-
-def _rref_frac(rows):
-    """Full reduced row echelon over the rationals, same pivot rule."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        hit = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        if hit != r:
-            a[r], a[hit] = a[hit], a[r]
-        inv = 1 / a[r][c]
-        if inv != 1:
-            a[r] = [x * inv for x in a[r]]
-        prow = a[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = a[i][c]
-            if f:
-                arow = a[i]
-                for k in range(c, ncols):
-                    if prow[k]:
-                        arow[k] -= f * prow[k]
-        pivots.append(c)
-        r += 1
-    return pivots, a[:len(pivots)]
-
-
-def _rank_frac(rows):
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        hit = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        if hit != r:
-            a[r], a[hit] = a[hit], a[r]
-        prow = a[r]
-        pinv = 1 / prow[c]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            if f:
-                f *= pinv
-                arow = a[i]
-                for k in range(c, ncols):
-                    if prow[k]:
-                        arow[k] -= f * prow[k]
-        r += 1
-    return r
+    return pivots
 
 
 def rank_of_rows(rows, ncols, field):
-    """Rank of a stack of coefficient rows (numpy array or Fraction lists)."""
-    if isinstance(field, PrimeField):
-        if len(rows) == 0:
-            return 0
-        return _rank_mod(np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols), field.p)
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    return _rank_frac(rows)
+    """Rank of a stack of coefficient rows (an array or a list of rows)."""
+    return len(_eliminate(field.array(rows, ncols), field, full=False))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +273,7 @@ class RowBasis:
     support columns, which doubles as the coordinate vector in the quotient.
     """
 
-    __slots__ = ("ncols", "field", "pivots", "support", "tails", "_pivot_pos")
+    __slots__ = ("ncols", "field", "pivots", "support", "tails")
 
     def __init__(self, ncols, field, pivots, support, tails):
         self.ncols = ncols
@@ -332,35 +281,18 @@ class RowBasis:
         self.pivots = tuple(pivots)
         self.support = tuple(support)
         self.tails = tails
-        self._pivot_pos = {c: k for k, c in enumerate(self.pivots)}
 
     @classmethod
     def from_rows(cls, rows, ncols, field):
-        if isinstance(field, PrimeField):
-            if len(rows) == 0:
-                mat = np.zeros((0, ncols), dtype=np.int64)
-            else:
-                mat = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
-            pivots, red = _rref_mod(mat, field.p)
-            support = [c for c in range(ncols) if c not in set(pivots)]
-            tails = red[:, support] if len(pivots) else np.zeros((0, len(support)), dtype=np.int64)
-            return cls(ncols, field, pivots, support, tails)
-        pivots, red = _rref_frac([list(r) for r in rows]) if rows else ([], [])
-        support = [c for c in range(ncols) if c not in set(pivots)]
-        tails = [[row[c] for c in support] for row in red]
-        return cls(ncols, field, pivots, support, tails)
-
-    @classmethod
-    def zero(cls, ncols, field):
-        return cls.from_rows([], ncols, field)
+        a = field.array(rows, ncols)
+        pivots = _eliminate(a, field, full=True)
+        pivot_set = set(pivots)
+        support = [c for c in range(ncols) if c not in pivot_set]
+        return cls(ncols, field, pivots, support, a[:len(pivots)][:, support])
 
     @classmethod
     def full(cls, ncols, field):
-        if isinstance(field, PrimeField):
-            tails = np.zeros((ncols, 0), dtype=np.int64)
-        else:
-            tails = [[] for _ in range(ncols)]
-        return cls(ncols, field, range(ncols), (), tails)
+        return cls(ncols, field, range(ncols), (), field.zeros((ncols, 0)))
 
     @property
     def dim(self):
@@ -372,46 +304,19 @@ class RowBasis:
 
     def reduce(self, vec):
         """Residual of `vec` modulo the subspace, as coordinates on `support`."""
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            vec = np.asarray(vec, dtype=np.int64) % p
-            res = vec[list(self.support)]
-            if self.dim and self.codim:
-                coef = vec[list(self.pivots)].reshape(1, -1)
-                res = (res - matmul_mod(coef, self.tails, p)[0]) % p
-            return res
-        res = [Fraction(vec[c]) for c in self.support]
-        for k, c in enumerate(self.pivots):
-            f = vec[c]
-            if f:
-                tail = self.tails[k]
-                for t, val in enumerate(tail):
-                    if val:
-                        res[t] -= f * val
-        return res
+        fld = self.field
+        vec = fld.array([vec], self.ncols)
+        coef = fld.matmul(vec[:, list(self.pivots)], self.tails)
+        return fld.reduce(vec[0, list(self.support)] - coef[0])
 
     def contains(self, vec):
-        res = self.reduce(vec)
-        if isinstance(self.field, PrimeField):
-            return not np.any(res)
-        return all(x == 0 for x in res)
+        return not np.count_nonzero(self.reduce(vec))
 
     def full_rows(self):
         """Reconstruct the basis as full-width coefficient rows."""
-        if isinstance(self.field, PrimeField):
-            out = np.zeros((self.dim, self.ncols), dtype=np.int64)
-            if self.dim:
-                out[np.arange(self.dim), list(self.pivots)] = 1
-                if self.codim:
-                    out[:, list(self.support)] = self.tails
-            return out
-        out = []
-        for k, c in enumerate(self.pivots):
-            row = [Fraction(0)] * self.ncols
-            row[c] = Fraction(1)
-            for t, s in enumerate(self.support):
-                row[s] = Fraction(self.tails[k][t])
-            out.append(row)
+        out = self.field.zeros((self.dim, self.ncols))
+        out[np.arange(self.dim), list(self.pivots)] = self.field.one
+        out[:, list(self.support)] = self.tails
         return out
 
     def class_matrix(self):
@@ -420,19 +325,9 @@ class RowBasis:
         Row c is the coordinate vector of e_c in the quotient k^ncols / span:
         a unit row for support columns, minus the tail for pivot columns.
         """
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            out = np.zeros((self.ncols, self.codim), dtype=np.int64)
-            for t, s in enumerate(self.support):
-                out[s, t] = 1
-            if self.dim and self.codim:
-                out[list(self.pivots)] = (-self.tails) % p
-            return out
-        out = [[Fraction(0)] * self.codim for _ in range(self.ncols)]
-        for t, s in enumerate(self.support):
-            out[s][t] = Fraction(1)
-        for k, c in enumerate(self.pivots):
-            out[c] = [-Fraction(x) for x in self.tails[k]]
+        out = self.field.zeros((self.ncols, self.codim))
+        out[list(self.support), np.arange(self.codim)] = self.field.one
+        out[list(self.pivots)] = self.field.reduce(-self.tails)
         return out
 
 
@@ -446,47 +341,27 @@ class Accumulator:
         self.rows = []
 
     def absorb(self, row):
-        """Reduce `row` against the basis; if independent, add it; return residual or None."""
+        """Reduce `row` against the basis; if independent, add it and return the
+        new basis row, else return None."""
         fld = self.field
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            row = np.asarray(row, dtype=np.int64) % p
-            for k, c in enumerate(self.pivots):
-                f = int(row[c])
-                if f:
-                    row = (row - f * self.rows[k]) % p
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                return None
-            c = int(nz[0])
-            row = row * pow(int(row[c]), -1, p) % p
-            for k in range(len(self.rows)):
-                f = int(self.rows[k][c])
-                if f:
-                    self.rows[k] = (self.rows[k] - f * row) % p
-            self.pivots.append(c)
-            self.rows.append(row)
-            return row
-        row = [Fraction(x) for x in row]
-        for k, c in enumerate(self.pivots):
+        row = fld.array([row], self.ncols)[0]
+        for c, basis in zip(self.pivots, self.rows):
             f = row[c]
             if f:
-                basis = self.rows[k]
-                for t in range(self.ncols):
-                    if basis[t]:
-                        row[t] -= f * basis[t]
-        c = next((t for t in range(self.ncols) if row[t]), None)
-        if c is None:
+                nzc = np.flatnonzero(basis)
+                row[nzc] = fld.reduce(row[nzc] - f * basis[nzc])
+        nzc = np.flatnonzero(row)
+        if nzc.size == 0:
             return None
-        inv = 1 / row[c]
-        row = [x * inv for x in row]
-        for k in range(len(self.rows)):
-            f = self.rows[k][c]
+        c = int(nzc[0])
+        row[nzc] = fld.reduce(row[nzc] * fld.inv(row[c]))
+        for basis in self.rows:
+            f = basis[c]
             if f:
-                self.rows[k] = [a - f * b for a, b in zip(self.rows[k], row)]
+                basis[nzc] = fld.reduce(basis[nzc] - f * row[nzc])
         self.pivots.append(c)
         self.rows.append(row)
-        return row
+        return row.copy()
 
     @property
     def dim(self):
@@ -504,62 +379,43 @@ class ExactMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
-        if isinstance(field, PrimeField):
-            data = np.zeros((nrows, ncols), dtype=np.int64)
-        else:
-            data = [[field.zero] * ncols for _ in range(nrows)]
+        self._data = field.zeros((nrows, ncols))
         for i, j, v in entries:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise DimensionMismatchError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            if isinstance(field, PrimeField):
-                data[i, j] = field.coerce(v)
-            else:
-                data[i][j] = field.coerce(v)
-        self._data = data
+            self._data[i, j] = field.coerce(v)
 
     @classmethod
     def from_rows(cls, rows, field, ncols=None):
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
+        rows = list(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row))
-        return cls(nrows, ncols, entries, field)
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatchError(f"every row needs exactly {ncols} entries")
+        out = cls(len(rows), ncols, (), field)
+        out._data = field.array(rows, ncols)
+        return out
 
     def entry(self, i, j):
-        if isinstance(self.field, PrimeField):
-            return int(self._data[i, j])
-        return self._data[i][j]
+        return self.field.coerce(self._data[i, j])
 
     def entries(self):
         """Yield the nonzero entries as (row, col, value)."""
-        if isinstance(self.field, PrimeField):
-            for i, j in zip(*np.nonzero(self._data)):
-                yield int(i), int(j), int(self._data[i, j])
-        else:
-            for i, row in enumerate(self._data):
-                for j, v in enumerate(row):
-                    if v:
-                        yield i, j, v
+        for i, j in zip(*np.nonzero(self._data)):
+            yield int(i), int(j), self.entry(i, j)
 
     def rows(self):
-        if isinstance(self.field, PrimeField):
-            return self._data
         return self._data
 
     def column(self, j):
-        if isinstance(self.field, PrimeField):
-            return self._data[:, j]
-        return [row[j] for row in self._data]
+        return self._data[:, j]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols) or self.field != other.field:
             return False
-        if isinstance(self.field, PrimeField):
-            return bool(np.array_equal(self._data, other._data))
-        return self._data == other._data
+        return bool(np.array_equal(self._data, other._data))
 
 
 @dataclass
@@ -571,15 +427,9 @@ class RrefResult:
 
 def rref(m):
     """Reduced row echelon form with deterministic column-major pivoting."""
-    if isinstance(m.field, PrimeField):
-        pivots, red = _rref_mod(m._data, m.field.p)
-        rows = [list(map(int, r)) for r in red]
-    else:
-        pivots, red = _rref_frac(m._data) if m.nrows else ([], [])
-        rows = [list(r) for r in red]
-    while len(rows) < m.nrows:
-        rows.append([0] * m.ncols)
-    return RrefResult(len(pivots), list(pivots), ExactMatrix.from_rows(rows, m.field, m.ncols))
+    red = ExactMatrix.from_rows(m._data, m.field, m.ncols)
+    pivots = _eliminate(red._data, m.field, full=True)
+    return RrefResult(len(pivots), pivots, red)
 
 
 def kernel_basis(m):
@@ -623,20 +473,13 @@ def in_span(target, generators):
     if len(target) != m.nrows:
         raise DimensionMismatchError(f"target length {len(target)} != {m.nrows} rows")
     fld = m.field
-    aug_rows = []
-    data = m._data
-    for i in range(m.nrows):
-        if isinstance(fld, PrimeField):
-            row = list(map(int, data[i]))
-        else:
-            row = list(data[i])
-        row.append(fld.coerce(target[i]))
-        aug_rows.append(row)
-    aug = ExactMatrix.from_rows(aug_rows, fld, m.ncols + 1)
-    res = rref(aug)
-    if m.ncols in res.pivots:
+    aug = fld.zeros((m.nrows, m.ncols + 1))
+    aug[:, :m.ncols] = m._data
+    aug[:, m.ncols] = [fld.coerce(t) for t in target]
+    pivots = _eliminate(aug, fld, full=True)
+    if m.ncols in pivots:
         return SpanResult(False, None)
     coeffs = [fld.zero] * m.ncols
-    for k, p in enumerate(res.pivots):
-        coeffs[p] = res.matrix.entry(k, m.ncols)
+    for k, p in enumerate(pivots):
+        coeffs[p] = fld.coerce(aug[k, m.ncols])
     return SpanResult(True, coeffs)

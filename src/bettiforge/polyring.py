@@ -275,31 +275,29 @@ def contract(f, big):
 
 
 def power_of_linear(coeffs, d, field=QQ):
-    """(sum_i c_i x_i)^d expanded exactly via multinomials."""
-    from math import factorial
-
+    """(sum_i c_i x_i)^d, multiplied out one factor at a time."""
     if d < 0:
         raise PreconditionError("exponent must be >= 0")
     nvars = len(coeffs)
-    coeffs = [field.coerce(c) for c in coeffs]
-    fact_d = factorial(d)
-    out = {}
-    for mono in monomials_of_degree(nvars, d):
-        denom = 1
-        for e in mono:
-            denom *= factorial(e)
-        term = field.coerce(fact_d // denom)
-        for c, e in zip(coeffs, mono):
-            for _ in range(e):
-                term = field.mul(term, c)
-        if not field.is_zero(term):
-            out[mono] = term
-    return Polynomial(nvars, field, out)
+    ell = Polynomial(nvars, field, dict(zip(monomials_of_degree(nvars, 1), coeffs)))
+    out = Polynomial.constant(1, nvars, field)
+    for _ in range(d):
+        out = out * ell
+    return out
 
 
 def standard_linear_form(nvars, field=QQ):
     """x1 + ... + xn."""
     return Polynomial(nvars, field, {m: 1 for m in monomials_of_degree(nvars, 1)})
+
+
+def power_ideal(degrees, ell_power, field):
+    """Generators x_1^d1, .., x_n^dn, then (x_1 + .. + x_n)^e unless ell_power is None."""
+    n = len(degrees)
+    gens = [Polynomial.variable_power(i, d, n, field) for i, d in enumerate(degrees)]
+    if ell_power is not None:
+        gens.append(power_of_linear([1] * n, ell_power, field))
+    return gens
 
 
 def macaulay_columns(generators, j):
@@ -413,16 +411,14 @@ def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
 
 
 def format_polynomial(p):
-    from .exactalg import PrimeField
-
     if p.is_zero():
         return "0"
-    balanced = isinstance(p.field, PrimeField)
+    char = p.field.characteristic
     parts = []
     for mono in sorted(p.coeffs, key=monomial_key, reverse=True):
         coef = p.coeffs[mono]
-        if balanced and coef > p.field.p // 2:
-            coef -= p.field.p
+        if char and coef > char // 2:
+            coef -= char
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

@@ -23,7 +23,7 @@ from .errors import (
     NonHomogeneousError,
     PreconditionError,
 )
-from .exactalg import Accumulator, PrimeField, RowBasis, rank_of_rows, same_field
+from .exactalg import Accumulator, RowBasis, rank_of_rows, same_field
 from .formulas import BettiTable
 from .polyring import (
     Polynomial,
@@ -71,20 +71,13 @@ def slice_at_degree(gens, j, nvars, field):
         if dg > j:
             continue
         for m in monomials_of_degree(nvars, j - dg):
-            if isinstance(field, PrimeField):
-                row = np.zeros(len(candidates), dtype=np.int64)
-            else:
-                row = [field.zero] * len(candidates)
+            row = field.zeros(len(candidates))
             nonzero = False
             for w, c in g.coeffs.items():
-                col = target_idx[monomial_mul(w, m)]
-                pos = cand_pos.get(col)
+                pos = cand_pos.get(target_idx[monomial_mul(w, m)])
                 if pos is None:
                     continue
-                if isinstance(field, PrimeField):
-                    row[pos] = (row[pos] + field.coerce(c)) % field.p
-                else:
-                    row[pos] = field.add(row[pos], field.coerce(c))
+                row[pos] = field.add(row[pos], c)
                 nonzero = True
             if nonzero:
                 block_rows.append(row)
@@ -93,19 +86,9 @@ def slice_at_degree(gens, j, nvars, field):
     pivots = mono_pivots + [candidates[t] for t in block.pivots]
     support = [candidates[t] for t in block.support]
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    if isinstance(field, PrimeField):
-        tails = np.zeros((len(pivots), len(support)), dtype=np.int64)
-        if block.dim:
-            tails[len(mono_pivots):] = block.tails
-    else:
-        tails = [[field.zero] * len(support) for _ in range(len(mono_pivots))]
-        tails += [list(r) for r in block.tails]
-    pivots_sorted = [pivots[k] for k in order]
-    if isinstance(field, PrimeField):
-        tails_sorted = tails[order] if len(pivots) else tails
-    else:
-        tails_sorted = [tails[k] for k in order]
-    return RowBasis(len(monos), field, pivots_sorted, support, tails_sorted)
+    tails = field.zeros((len(pivots), len(support)))
+    tails[len(mono_pivots):] = block.tails
+    return RowBasis(len(monos), field, [pivots[k] for k in order], support, tails[order])
 
 
 class GradedIdealSlices:
@@ -231,13 +214,8 @@ def minimal_generators(slices):
             for v in range(nvars):
                 shift = variable_shift_map(nvars, j - 1, v)
                 for row in prev_rows:
-                    if isinstance(field, PrimeField):
-                        lifted = np.zeros(ncols, dtype=np.int64)
-                        lifted[list(shift)] = row
-                    else:
-                        lifted = [field.zero] * ncols
-                        for pos, val in zip(shift, row):
-                            lifted[pos] = val
+                    lifted = field.zeros(ncols)
+                    lifted[list(shift)] = row
                     acc.absorb(lifted)
         for row in base.full_rows():
             if acc.absorb(row) is not None:
@@ -250,29 +228,13 @@ def minimal_generators(slices):
 
 
 def _accumulate_products(field, target_class, shift_maps, coeffs):
-    """sum_t coeffs[t] * target_class[shift_maps[t]] with overflow-safe reduction."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        n_rows = len(shift_maps[0])
-        h = target_class.shape[1]
-        acc = np.zeros((n_rows, h), dtype=np.int64)
-        safe = max(1, (2**62) // ((p - 1) * (p - 1) + 1))
-        for t, (shift, c) in enumerate(zip(shift_maps, coeffs)):
-            acc += int(c) * target_class[list(shift)]
-            if (t + 1) % safe == 0:
-                acc %= p
-        return acc % p
-    n_rows = len(shift_maps[0])
-    h = len(target_class[0]) if target_class else 0
-    acc = [[field.zero] * h for _ in range(n_rows)]
-    for shift, c in zip(shift_maps, coeffs):
-        for r, pos in enumerate(shift):
-            src = target_class[pos]
-            row = acc[r]
-            for k in range(h):
-                if src[k]:
-                    row[k] = field.add(row[k], field.mul(c, src[k]))
-    return acc
+    """sum_t coeffs[t] * target_class[shift_maps[t]], reduced every `safe_terms` terms."""
+    acc = field.zeros((len(shift_maps[0]), target_class.shape[1]))
+    for t, (shift, c) in enumerate(zip(shift_maps, coeffs), 1):
+        acc += c * target_class[list(shift)]
+        if t % field.safe_terms == 0:
+            acc = field.reduce(acc)
+    return field.reduce(acc)
 
 
 class GradedQuotient:
@@ -313,13 +275,7 @@ class GradedQuotient:
             base = self.slices.bases[j]
             target = self.class_matrix(j + 1)
             shift = variable_shift_map(self.nvars, j, v)
-            rows = [shift[c] for c in base.support]
-            if isinstance(self.field, PrimeField):
-                mat = target[rows].T.copy() if rows else np.zeros(
-                    (self.hf(j + 1), 0), dtype=np.int64)
-            else:
-                mat = [[target[r][k] for r in rows] for k in range(self.hf(j + 1))]
-            self._mult[key] = mat
+            self._mult[key] = target[[shift[c] for c in base.support]].T.copy()
         return self._mult[key]
 
     def products_class_matrix(self, g, k):
@@ -337,12 +293,7 @@ class GradedQuotient:
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
         rows = self.products_class_matrix(g, j)
-        support = self.slices.bases[j].support
-        if isinstance(self.field, PrimeField):
-            return rows[list(support)].T.copy() if support else np.zeros(
-                (self.hf(j + g.homogeneous_degree()), 0), dtype=np.int64)
-        h = self.hf(j + g.homogeneous_degree())
-        return [[rows[c][k] for c in support] for k in range(h)]
+        return rows[list(self.slices.bases[j].support)].T.copy()
 
 
 def quotient_model(gens_or_slices, nvars=None, field=None, max_degree=None):
@@ -369,28 +320,15 @@ def _koszul_differential_rank(quot, i, j):
     ncols = len(subs_hi) * h0
     nrows = len(subs_lo) * h1
     field = quot.field
-    if isinstance(field, PrimeField):
-        mat = np.zeros((nrows, ncols), dtype=np.int64)
-        for b, S in enumerate(subs_hi):
-            for k, v in enumerate(S):
-                rb = subs_lo[S[:k] + S[k + 1:]]
-                block = quot.mult_variable(v, j - i)
-                if k % 2:
-                    block = (-block) % field.p
-                mat[rb * h1:(rb + 1) * h1, b * h0:(b + 1) * h0] = block
-        return rank_of_rows(mat, ncols, field)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
+    mat = field.zeros((nrows, ncols))
     for b, S in enumerate(subs_hi):
         for k, v in enumerate(S):
             rb = subs_lo[S[:k] + S[k + 1:]]
             block = quot.mult_variable(v, j - i)
-            sign = -1 if k % 2 else 1
-            for r in range(h1):
-                for c in range(h0):
-                    val = block[r][c]
-                    if val:
-                        rows[rb * h1 + r][b * h0 + c] = field.mul(field.coerce(sign), val)
-    return rank_of_rows(rows, ncols, field)
+            if k % 2:
+                block = field.reduce(-block)
+            mat[rb * h1:(rb + 1) * h1, b * h0:(b + 1) * h0] = block
+    return rank_of_rows(mat, ncols, field)
 
 
 def betti_from_quotient(quot):
@@ -436,15 +374,7 @@ def minimal_betti_oracle(gens, nvars=None, field=None):
 def _kernel_row_basis(matrix_rows, ncols, field):
     """RowBasis of the kernel of the map with the given rows (shape h x ncols)."""
     reducer = RowBasis.from_rows(matrix_rows, ncols, field)
-    free = list(reducer.support)
-    piv = list(reducer.pivots)
-    if isinstance(field, PrimeField):
-        tails = (-np.asarray(reducer.tails, dtype=np.int64).T) % field.p \
-            if reducer.dim and reducer.codim else np.zeros((len(free), len(piv)), dtype=np.int64)
-    else:
-        tails = [[field.neg(reducer.tails[k][t]) for k in range(len(piv))]
-                 for t in range(len(free))]
-    return RowBasis(ncols, field, free, piv, tails)
+    return RowBasis(ncols, field, reducer.support, reducer.pivots, field.reduce(-reducer.tails.T))
 
 
 def colon_ideal(source, f, max_degree=None, nvars=None, field=None):
@@ -482,12 +412,7 @@ def colon_ideal(source, f, max_degree=None, nvars=None, field=None):
         if h == 0:
             bases[j] = RowBasis.full(ncols, field)
             continue
-        cols = quot.products_class_matrix(f, j)
-        if isinstance(field, PrimeField):
-            mat = cols.T
-        else:
-            mat = [[cols[c][k] for c in range(ncols)] for k in range(h)]
-        bases[j] = _kernel_row_basis(mat, ncols, field)
+        bases[j] = _kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
     return GradedIdealSlices(nvars, field, bases)
 
 
@@ -511,12 +436,7 @@ def socle_dims(source, nvars=None, field=None):
         h = quot.hf(j)
         if h == 0:
             continue
-        if isinstance(quot.field, PrimeField):
-            stacked = np.vstack([quot.mult_variable(v, j) for v in range(n)])
-        else:
-            stacked = []
-            for v in range(n):
-                stacked.extend(quot.mult_variable(v, j))
+        stacked = np.vstack([quot.mult_variable(v, j) for v in range(n)])
         dim = h - rank_of_rows(stacked, h, quot.field)
         if dim:
             dims[j] = dim

@@ -22,6 +22,8 @@ from .hilbert import froberg_series, multiplicity_of_truncation
 from .polyring import (
     Polynomial,
     monomials_of_degree,
+    power_ideal,
+    power_of_linear,
     standard_linear_form,
 )
 from .resolver import (
@@ -101,21 +103,14 @@ def build_lifted_family(ds, field=None):
             expected = expected - Polynomial.variable_power(i, d - 2, n, field).scale(c) * xn2
         if not _divisible_by_xn4(fs[i] - expected, n):
             raise ConsistencyError(f"lifted form {i} fails its expansion identity")
-    ell = standard_linear_form(n, field)
-    expected = Polynomial.constant(1, n, field)
-    for _ in range(e):
-        expected = expected * ell
+    expected = power_of_linear([1] * n, e, field)
     c = syzygy_coefficient(e)
     if c and e >= 2:
-        low = Polynomial.constant(1, n, field)
-        for _ in range(e - 2):
-            low = low * ell
-        expected = expected - low.scale(c) * xn2
+        expected = expected - power_of_linear([1] * n, e - 2, field).scale(c) * xn2
     if not _divisible_by_xn4(f_ell - expected, n):
         raise ConsistencyError("lifted linear-form product fails its expansion identity")
 
-    original = [Polynomial.variable_power(i, d, n, field) for i, d in enumerate(reduced)]
-    original += [xn2, _power_of_ell(n, e, field)]
+    original = power_ideal(normalized.degrees, e, field)
     slices_i = ideal_slices(original, n, field)
     lifted_plus = ideal_slices(fs + [f_ell, xn2], n, field,
                                max_degree=slices_i.bound)
@@ -126,14 +121,6 @@ def build_lifted_family(ds, field=None):
         if slices_i.dim(j) != lifted_plus.dim(j):
             raise ConsistencyError(f"lifted ideal + (x_n^2) differs in degree {j}")
     return LiftedFamily(n, tuple(reduced), e, field, fs, f_ell)
-
-
-def _power_of_ell(nvars, e, field):
-    out = Polynomial.constant(1, nvars, field)
-    ell = standard_linear_form(nvars, field)
-    for _ in range(e):
-        out = out * ell
-    return out
 
 
 @dataclass
@@ -206,15 +193,13 @@ def check_xn_regular(ds, field=None):
         raise ParityError(t)
 
     points = enumerate_point_set(ds)
-    red_gens = [Polynomial.variable_power(i, d, n - 1, QQ) for i, d in enumerate(reduced)]
-    red_gens.append(_power_of_ell(n - 1, e, QQ))
+    red_gens = power_ideal(reduced, e, QQ)
     red = quotient_hilbert(red_gens, n - 1, QQ)
     if not red.artinian or sum(red.values) != points.count:
         raise ConsistencyError("reduction multiplicity does not match the point count")
 
     tau = sum(d - 1 for d in reduced)
-    grid_expected = quotient_hilbert(
-        [Polynomial.variable_power(i, d, n - 1, QQ) for i, d in enumerate(reduced)], n - 1, QQ)
+    grid_expected = quotient_hilbert(red_gens[:-1], n - 1, QQ)
     if not grid_expected.artinian or sum(grid_expected.values) != prod(reduced):
         raise ConsistencyError("grid reduction must have multiplicity prod(d_i)")
 
@@ -280,10 +265,8 @@ def check_colon_equals_plus(ds, field=None):
     t = sum(d - 1 for d in normalized.degrees[:-1]) + e - 1
     if t % 2 == 0:
         raise ParityError(t)
-    mono_gens = [Polynomial.variable_power(i, d, n, field)
-                 for i, d in enumerate(normalized.degrees)]
+    *mono_gens, ell_pow = power_ideal(normalized.degrees, e, field)
     xn_poly = Polynomial.variable(n - 1, n, field)
-    ell_pow = _power_of_ell(n, e, field)
 
     def colon_vs_plus(slices, plus_dims):
         quot = GradedQuotient(slices)
@@ -333,9 +316,7 @@ def check_syzygy_property(ds, relation):
     n = normalized.nvars
     e = normalized.require_ell()
     field = relation.components[0].field
-    gens = [Polynomial.variable_power(i, d, n, field)
-            for i, d in enumerate(normalized.degrees)]
-    gens.append(_power_of_ell(n, e, field))
+    gens = power_ideal(normalized.degrees, e, field)
     if len(relation.components) != n + 1 or not relation.check(gens):
         raise PreconditionError("not a relation of the normalized generators")
     combo = relation.components[n - 1]
@@ -346,7 +327,7 @@ def check_syzygy_property(ds, relation):
             combo = combo + term.scale(c)
     c = syzygy_coefficient(e)
     if c and e >= 2:
-        combo = combo + (relation.components[n] * _power_of_ell(n, e - 2, field)).scale(c)
+        combo = combo + (relation.components[n] * power_of_linear([1] * n, e - 2, field)).scale(c)
     return membership(combo, gens)
 
 
@@ -365,9 +346,8 @@ def _difference_product(pairs, extra, nvars, field):
 
 def _normalize_sign(poly):
     lead = poly.coeffs[poly.leading_monomial()]
-    if poly.field is QQ and lead < 0:
-        return poly.scale(-1)
-    if poly.field is not QQ and lead > poly.field.p // 2:
+    char = poly.field.characteristic
+    if lead < 0 or (char and lead > char // 2):
         return poly.scale(-1)
     return poly
 
@@ -400,7 +380,7 @@ def esym_annihilator_generators(nvars, d, field=None):
         seen.setdefault(key, image)
     orbit = [seen[k] for k in sorted(seen)]
 
-    ell_d = _power_of_ell(nvars, d, field)
+    ell_d = power_of_linear([1] * nvars, d, field)
     colon = colon_ideal(squares, ell_d)
     for g in orbit:
         if not colon.contains(g):

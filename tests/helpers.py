@@ -8,11 +8,10 @@ from bettiforge import (
     QQ,
     DegreeSequence,
     GradedQuotient,
-    Polynomial,
     betti_from_quotient,
     colon_ideal,
     minimal_betti_oracle,
-    power_of_linear,
+    power_ideal,
 )
 
 FIELDS = {"qq": QQ, "p": GF_DEFAULT, "P": GF_PARANOIA}
@@ -24,11 +23,7 @@ def field_by_key(key):
 
 def powers_ideal(ds, field):
     """Generators (x_1^d1, .., x_n^dn) plus ell^e when the sequence carries it."""
-    gens = [Polynomial.variable_power(i, d, ds.nvars, field)
-            for i, d in enumerate(ds.degrees)]
-    if ds.ell_power is not None:
-        gens.append(power_of_linear([1] * ds.nvars, ds.ell_power, field))
-    return gens
+    return power_ideal(ds.degrees, ds.ell_power, field)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bettiforge
 from bettiforge import (
     GF_DEFAULT,
     GF_PARANOIA,
@@ -16,6 +19,7 @@ from bettiforge import (
     rref,
 )
 from bettiforge.errors import DimensionMismatchError, PreconditionError
+from bettiforge.exactalg import Accumulator, RowBasis, rank_of_rows
 
 
 def test_rref_identity():
@@ -113,12 +117,83 @@ def test_rank_nullity_and_idempotence(rows):
         assert again.matrix == res.matrix and again.pivots == res.pivots
 
 
+def _rref_reference(rows):
+    """Plain Fraction-list reduced row echelon form: the same pivot rule as the
+    array kernel (columns left to right, lowest remaining row), no numpy."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, a[:len(pivots)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rank_agrees_over_fields(rows):
-    # entries are small enough that no 3x3 minor can be a nonzero multiple of 65521
-    ranks = {rref(ExactMatrix.from_rows(rows, f)).rank for f in (QQ, GF_DEFAULT, GF_PARANOIA)}
+    # every minor is at most 3! * 9**3 = 4374 < 65521 in absolute value, so none
+    # vanishes mod p unless it vanishes over QQ: ranks and pivots agree, and the
+    # reduced rows (ratios of minors) agree once coerced into GF(p)
+    ncols = len(rows[0])
+    fields = (QQ, GF_DEFAULT, GF_PARANOIA)
+    ranks = {rref(ExactMatrix.from_rows(rows, f)).rank for f in fields}
     assert len(ranks) == 1
+    (rank,) = ranks
+    bases = {f: RowBasis.from_rows(rows, ncols, f) for f in fields}
+    for f in fields:
+        acc = Accumulator(ncols, f)
+        for row in rows:
+            acc.absorb(row)
+        assert rank_of_rows(rows, ncols, f) == acc.dim == bases[f].dim == rank
+    qq = bases[QQ]
+    pivots, reduced = _rref_reference(rows)
+    assert list(qq.pivots) == pivots
+    assert qq.tails.tolist() == [[row[c] for c in qq.support] for row in reduced]
+    for f in fields[1:]:
+        assert bases[f].pivots == qq.pivots
+        assert [[f.coerce(x) for x in row] for row in qq.tails] == bases[f].tails.tolist()
+
+
+def _field_type_tests(tree):
+    """Qualified names of the scopes that call isinstance(..., PrimeField|RationalField)."""
+    hits, scope = [], []
+
+    class Visitor(ast.NodeVisitor):
+        def enter(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = enter
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id == "isinstance" \
+                    and len(node.args) == 2:
+                names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                if names & {"PrimeField", "RationalField"}:
+                    hits.append(".".join(scope))
+            self.generic_visit(node)
+
+    Visitor().visit(tree)
+    return hits
+
+
+def test_no_field_type_branches_outside_the_field_classes():
+    # kernels take the field as a parameter; a type test on it starts a second code path
+    allowed = {"RationalField.__eq__", "PrimeField.__eq__", "field_from_spec"}
+    hits = []
+    for path in sorted(Path(bettiforge.__file__).parent.glob("*.py")):
+        hits += [f"{path.name}:{scope}" for scope in _field_type_tests(ast.parse(path.read_text()))]
+    assert hits, "the scan must at least see the field classes' own type tests"
+    assert [h for h in hits if h.split(":")[1] not in allowed] == []
 
 
 @settings(max_examples=40, deadline=None)
