@@ -20,7 +20,6 @@ from .formulas import (
     betti_aci_odd,
     betti_gorenstein_odd,
     betti_sum_formula,
-    predict_level,
 )
 from .hilbert import (
     DegreeSequence,
@@ -34,10 +33,8 @@ from .resolver import (
     GradedQuotient,
     betti_from_quotient,
     colon_ideal,
-    ideal_slices,
     minimal_betti_oracle,
     minimal_generators,
-    socle_dims,
     syzygies_in_degree,
 )
 from .special import (

@@ -1,7 +1,7 @@
 """Exact coefficient fields and the exact linear algebra everything else rides on.
 
 A field object fixes how its elements are stored and supplies the few array
-operations the kernels need (`zeros`, `array`, `reduce`, `inv`, `matmul`,
+operations the kernels need (`zeros`, `array`, `reduce`, `inv`, `sub_matmul`,
 `safe_terms`).  GF(p), p < 2**31 prime, keeps residues in [0, p) in int64
 arrays, so every product fits a 64-bit intermediate; QQ keeps normalized
 `fractions.Fraction` entries in object arrays.  One elimination routine,
@@ -42,17 +42,23 @@ class _ArrayField:
     def zeros(self, shape):
         return np.full(shape, self.zero, dtype=self.dtype)
 
-    def matmul(self, a, b):
-        """Reduced a @ b, the inner dimension summed `safe_terms` products at a time."""
-        k, step = a.shape[1], self.safe_terms
-        if k == 0:
-            return self.zeros((a.shape[0], b.shape[1]))
-        if k <= step:
-            return self.reduce(a @ b)
-        acc = self.zeros((a.shape[0], b.shape[1]))
-        for s in range(0, k, step):
-            acc = self.reduce(acc + a[:, s:s + step] @ b[s:s + step])
-        return acc
+    def sub_matmul(self, c, a, b):
+        """Set c to the reduced c - a @ b in place and return it; the inner
+        dimension is summed `safe_terms` products at a time.
+
+        Only the inner indices where a's column and b's row both have a
+        nonzero, and the columns of c those rows of b reach, are touched, so
+        sparse operands cost what their nonzero parts cost.
+        """
+        inner = np.flatnonzero((np.count_nonzero(a, axis=0) > 0) & (np.count_nonzero(b, axis=1) > 0))
+        cols = np.flatnonzero(np.count_nonzero(b[inner], axis=0))
+        a, b = a[:, inner], b[np.ix_(inner, cols)]
+        acc = c[:, cols]
+        step = min(self.safe_terms, len(inner) or 1)
+        for s in range(0, len(inner), step):
+            acc = self.reduce(acc - a[:, s:s + step] @ b[s:s + step])
+        c[:, cols] = acc
+        return c
 
 
 class RationalField(_ArrayField):
@@ -306,8 +312,7 @@ class RowBasis:
         """Residual of `vec` modulo the subspace, as coordinates on `support`."""
         fld = self.field
         vec = fld.array([vec], self.ncols)
-        coef = fld.matmul(vec[:, list(self.pivots)], self.tails)
-        return fld.reduce(vec[0, list(self.support)] - coef[0])
+        return fld.sub_matmul(vec[:, list(self.support)], vec[:, list(self.pivots)], self.tails)[0]
 
     def contains(self, vec):
         return not np.count_nonzero(self.reduce(vec))
@@ -331,41 +336,36 @@ class RowBasis:
         return out
 
 
-class Accumulator:
-    """Incrementally absorbs rows, tracking an rref basis of their span."""
+class Accumulator(RowBasis):
+    """A RowBasis that grows: absorbs blocks of rows, keeping the fully reduced
+    basis of their span (sorted pivots, support and tails) that
+    `RowBasis.from_rows` would give on all rows absorbed so far."""
+
+    __slots__ = ()
 
     def __init__(self, ncols, field):
-        self.ncols = ncols
-        self.field = field
-        self.pivots = []
-        self.rows = []
+        super().__init__(ncols, field, (), range(ncols), field.zeros((0, ncols)))
 
-    def absorb(self, row):
-        """Reduce `row` against the basis; if independent, add it and return the
-        new basis row, else return None."""
+    def absorb(self, rows):
+        """Add the span of `rows` (a block, one row per vector); return the
+        number of new pivots, or None if the block adds none."""
         fld = self.field
-        row = fld.array([row], self.ncols)[0]
-        for c, basis in zip(self.pivots, self.rows):
-            f = row[c]
-            if f:
-                nzc = np.flatnonzero(basis)
-                row[nzc] = fld.reduce(row[nzc] - f * basis[nzc])
-        nzc = np.flatnonzero(row)
-        if nzc.size == 0:
+        a = fld.array(rows, self.ncols)
+        support = list(self.support)
+        block = fld.sub_matmul(a[:, support], a[:, list(self.pivots)], self.tails)
+        new = _eliminate(block, fld, full=True)
+        if not new:
             return None
-        c = int(nzc[0])
-        row[nzc] = fld.reduce(row[nzc] * fld.inv(row[c]))
-        for basis in self.rows:
-            f = basis[c]
-            if f:
-                basis[nzc] = fld.reduce(basis[nzc] - f * row[nzc])
-        self.pivots.append(c)
-        self.rows.append(row)
-        return row.copy()
-
-    @property
-    def dim(self):
-        return len(self.pivots)
+        block = block[:len(new)]
+        fld.sub_matmul(self.tails, self.tails[:, new], block)
+        pivots = list(self.pivots) + [support[q] for q in new]
+        order = np.argsort(pivots, kind="stable")
+        new_set = set(new)
+        keep = [k for k in range(len(support)) if k not in new_set]
+        self.pivots = tuple(pivots[k] for k in order)
+        self.support = tuple(support[k] for k in keep)
+        self.tails = np.concatenate([self.tails[:, keep], block[:, keep]])[order]
+        return len(new)
 
 
 # ---------------------------------------------------------------------------

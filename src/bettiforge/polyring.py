@@ -11,13 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .errors import (
-    DimensionMismatchError,
-    FieldMismatchError,
-    NonHomogeneousError,
-    PreconditionError,
-)
+import numpy as np
+
+from .errors import DimensionMismatchError, NonHomogeneousError, PreconditionError
 from .exactalg import QQ, ExactMatrix, same_field
 
 
@@ -55,15 +53,60 @@ def monomial_index(nvars, degree):
 
 
 @lru_cache(maxsize=None)
+def exponent_array(nvars, degree):
+    """monomials_of_degree(nvars, degree) as a read-only int64 array, one row per monomial."""
+    monos = monomials_of_degree(nvars, degree)
+    out = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _grlex_weights(nvars, top):
+    """weights[i, r] = C(r + nvars - 2 - i, nvars - 1 - i) for r <= top, nvars >= 2.
+
+    Among the monomials that agree with x^m before variable i, that many come
+    before it in monomials_of_degree (those with a larger exponent at i), where
+    r is the degree m leaves after variable i.  A monomial's position is the
+    sum of these counts over i < nvars - 1.
+    """
+    out = np.array([[comb(r + nvars - 2 - i, nvars - 1 - i) for r in range(top + 1)]
+                    for i in range(nvars - 1)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _degrees_left(exps):
+    """Column i holds exps[:, i+1:].sum(1), for i < nvars - 1."""
+    return np.cumsum(exps[:, :0:-1], axis=1)[:, ::-1]
+
+
+def product_positions(monos, terms):
+    """Positions of x^m * x^w in monomials_of_degree, m over the rows of `monos`
+    and w over the rows of `terms` (int64 exponent arrays, monomials x variables).
+
+    Returns a (len(monos) x len(terms)) int64 array.  The degree left after
+    each variable adds across the two factors, so each weight lookup of
+    `_grlex_weights` is one broadcast sum.
+    """
+    out = np.zeros((len(monos), len(terms)), dtype=np.int64)
+    if out.size == 0 or monos.shape[1] < 2:
+        return out
+    left_m, left_w = _degrees_left(monos), _degrees_left(terms)
+    weights = _grlex_weights(monos.shape[1], int(left_m[:, 0].max() + left_w[:, 0].max()))
+    for i, row in enumerate(weights):
+        out += row[left_m[:, i, None] + left_w[None, :, i]]
+    return out
+
+
+@lru_cache(maxsize=None)
 def variable_shift_map(nvars, degree, var):
     """Positions of x_var * m in degree+1, for m running over degree-`degree` monomials."""
-    idx = monomial_index(nvars, degree + 1)
-    out = []
-    for m in monomials_of_degree(nvars, degree):
-        e = list(m)
-        e[var] += 1
-        out.append(idx[tuple(e)])
-    return tuple(out)
+    unit = np.zeros((1, nvars), dtype=np.int64)
+    unit[0, var] = 1
+    out = product_positions(exponent_array(nvars, degree), unit)[:, 0]
+    out.flags.writeable = False
+    return out
 
 
 def monomial_key(mono):

@@ -27,9 +27,9 @@ from .exactalg import Accumulator, RowBasis, rank_of_rows, same_field
 from .formulas import BettiTable
 from .polyring import (
     Polynomial,
-    monomial_index,
-    monomial_mul,
+    exponent_array,
     monomials_of_degree,
+    product_positions,
     variable_shift_map,
 )
 
@@ -49,6 +49,12 @@ def _split_generators(gens):
     return monos, dense
 
 
+def _term_exponents(g):
+    """g's terms as an int64 exponent array (one row per term), and their coefficients."""
+    terms = np.array(list(g.coeffs), dtype=np.int64).reshape(len(g.coeffs), g.nvars)
+    return terms, list(g.coeffs.values())
+
+
 def slice_at_degree(gens, j, nvars, field):
     """Reduced basis of the degree-j piece of the ideal generated by `gens`.
 
@@ -57,38 +63,34 @@ def slice_at_degree(gens, j, nvars, field):
     which is what actually gets eliminated.
     """
     mono_gens, dense_gens = _split_generators(gens)
-    monos = monomials_of_degree(nvars, j)
-    pivot_flags = [any(all(e >= w for e, w in zip(m, g)) for g in mono_gens
-                       if sum(g) <= j) for m in monos]
-    mono_pivots = [c for c, hit in enumerate(pivot_flags) if hit]
-    candidates = [c for c, hit in enumerate(pivot_flags) if not hit]
-    cand_pos = {c: t for t, c in enumerate(candidates)}
+    exps = exponent_array(nvars, j)
+    hit = np.zeros(len(exps), dtype=bool)
+    if mono_gens:
+        hit = (exps[:, None, :] >= np.array(mono_gens)[None]).all(axis=2).any(axis=1)
+    mono_pivots = np.flatnonzero(hit).tolist()
+    candidates = np.flatnonzero(~hit).tolist()
+    cand_pos = np.full(len(exps), -1)
+    cand_pos[candidates] = np.arange(len(candidates))
 
-    block_rows = []
-    target_idx = monomial_index(nvars, j)
+    blocks = [field.zeros((0, len(candidates)))]
     for g in dense_gens:
         dg = g.homogeneous_degree()
         if dg > j:
             continue
-        for m in monomials_of_degree(nvars, j - dg):
-            row = field.zeros(len(candidates))
-            nonzero = False
-            for w, c in g.coeffs.items():
-                pos = cand_pos.get(target_idx[monomial_mul(w, m)])
-                if pos is None:
-                    continue
-                row[pos] = field.add(row[pos], c)
-                nonzero = True
-            if nonzero:
-                block_rows.append(row)
+        terms, coeffs = _term_exponents(g)
+        cols = cand_pos[product_positions(exponent_array(nvars, j - dg), terms)]
+        block = field.zeros((len(cols), len(candidates)))
+        rows, t = np.nonzero(cols >= 0)
+        block[rows, cols[rows, t]] = field.array([coeffs], len(coeffs))[0, t]
+        blocks.append(block[(cols >= 0).any(axis=1)])
 
-    block = RowBasis.from_rows(block_rows, len(candidates), field)
+    block = RowBasis.from_rows(np.concatenate(blocks), len(candidates), field)
     pivots = mono_pivots + [candidates[t] for t in block.pivots]
     support = [candidates[t] for t in block.support]
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    order = np.argsort(pivots, kind="stable")
     tails = field.zeros((len(pivots), len(support)))
     tails[len(mono_pivots):] = block.tails
-    return RowBasis(len(monos), field, [pivots[k] for k in order], support, tails[order])
+    return RowBasis(len(exps), field, [pivots[k] for k in order], support, tails[order])
 
 
 class GradedIdealSlices:
@@ -199,27 +201,50 @@ def quotient_hilbert(gens, nvars=None, field=None, max_degree=None):
     return QuotientHilbert(values, False)
 
 
+def _shifted_coordinates(prev, shift, coord, width, field):
+    """Rows x_v * b for the basis rows b of `prev`, as `width` coordinates:
+    the entry at column c goes to position coord[c], or nowhere if that is -1.
+    `shift` maps prev's columns to the columns of x_v times them."""
+    out = field.zeros((prev.dim, width))
+    at = coord[shift[list(prev.pivots)]]
+    hit = np.flatnonzero(at >= 0)
+    out[hit, at[hit]] = field.one
+    at = coord[shift[list(prev.support)]]
+    hit = np.flatnonzero(at >= 0)
+    out[:, at[hit]] = prev.tails[:, hit]
+    return out
+
+
 def minimal_generators(slices):
-    """Degreewise bases of I_j modulo R_1 * I_{j-1}; their count per degree is beta_{1,j}."""
+    """Degreewise bases of I_j modulo R_1 * I_{j-1}; their count per degree is beta_{1,j}.
+
+    Basis row k of I_j is a generator when it lies outside R_1 * I_{j-1} plus
+    the rows before it.  Written in the coordinates of I_j's reduced basis (a
+    vector's entries at the pivot columns) in reverse order, so that row k is
+    coordinate dim - 1 - k, that holds exactly when dim - 1 - k is not a pivot
+    of R_1 * I_{j-1}, whose shifted rows are absorbed one variable at a time.
+    """
     nvars, field = slices.nvars, slices.field
     out = []
     for j in range(slices.bound + 1):
         base = slices.bases[j]
         if base.dim == 0:
             continue
-        ncols = len(monomials_of_degree(nvars, j))
-        acc = Accumulator(ncols, field)
-        if j > 0 and slices.bases[j - 1].dim:
-            prev_rows = slices.bases[j - 1].full_rows()
+        spanned = Accumulator(base.dim, field)
+        prev = slices.bases.get(j - 1)
+        if prev is not None and prev.dim:
+            coord = np.full(base.ncols, -1)
+            coord[list(base.pivots)] = np.arange(base.dim)[::-1]
             for v in range(nvars):
+                if spanned.codim == 0:
+                    break
                 shift = variable_shift_map(nvars, j - 1, v)
-                for row in prev_rows:
-                    lifted = field.zeros(ncols)
-                    lifted[list(shift)] = row
-                    acc.absorb(lifted)
-        for row in base.full_rows():
-            if acc.absorb(row) is not None:
-                out.append(Polynomial.from_vector(list(row), nvars, j, field))
+                spanned.absorb(_shifted_coordinates(prev, shift, coord, base.dim, field))
+        new = [base.dim - 1 - c for c in reversed(spanned.support)]
+        gens = RowBasis(base.ncols, field, [base.pivots[k] for k in new], base.support,
+                        base.tails[new])
+        for row in gens.full_rows():
+            out.append(Polynomial.from_vector(list(row), nvars, j, field))
     return out
 
 
@@ -227,12 +252,12 @@ def minimal_generators(slices):
 # quotient algebra model
 
 
-def _accumulate_products(field, target_class, shift_maps, coeffs):
-    """sum_t coeffs[t] * target_class[shift_maps[t]], reduced every `safe_terms` terms."""
-    acc = field.zeros((len(shift_maps[0]), target_class.shape[1]))
-    for t, (shift, c) in enumerate(zip(shift_maps, coeffs), 1):
-        acc += c * target_class[list(shift)]
-        if t % field.safe_terms == 0:
+def _accumulate_products(field, target_class, positions, coeffs):
+    """sum_t coeffs[t] * target_class[positions[:, t]], reduced every `safe_terms` terms."""
+    acc = field.zeros((len(positions), target_class.shape[1]))
+    for t, c in enumerate(coeffs):
+        acc += c * target_class[positions[:, t]]
+        if (t + 1) % field.safe_terms == 0:
             acc = field.reduce(acc)
     return field.reduce(acc)
 
@@ -275,25 +300,22 @@ class GradedQuotient:
             base = self.slices.bases[j]
             target = self.class_matrix(j + 1)
             shift = variable_shift_map(self.nvars, j, v)
-            self._mult[key] = target[[shift[c] for c in base.support]].T.copy()
+            self._mult[key] = target[shift[list(base.support)]].T.copy()
         return self._mult[key]
 
-    def products_class_matrix(self, g, k):
-        """Rows = class of (m * g) in degree k + deg g, m over all degree-k monomials."""
-        dg = g.homogeneous_degree()
-        target = self.class_matrix(k + dg)
-        idx = monomial_index(self.nvars, k + dg)
-        monos = monomials_of_degree(self.nvars, k)
-        shift_maps, coeffs = [], []
-        for w, c in g.coeffs.items():
-            shift_maps.append([idx[monomial_mul(m, w)] for m in monos])
-            coeffs.append(c)
-        return _accumulate_products(self.field, target, shift_maps, coeffs)
+    def products_class_matrix(self, g, k, monos=None):
+        """Rows = class of (m * g) in degree k + deg g, m over the degree-k
+        monomials, or over those at the positions `monos` when given."""
+        exps = exponent_array(self.nvars, k)
+        if monos is not None:
+            exps = exps[list(monos)]
+        terms, coeffs = _term_exponents(g)
+        target = self.class_matrix(k + g.homogeneous_degree())
+        return _accumulate_products(self.field, target, product_positions(exps, terms), coeffs)
 
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
-        rows = self.products_class_matrix(g, j)
-        return rows[list(self.slices.bases[j].support)].T.copy()
+        return self.products_class_matrix(g, j, self.slices.bases[j].support).T.copy()
 
 
 def quotient_model(gens_or_slices, nvars=None, field=None, max_degree=None):

@@ -1,3 +1,5 @@
+import pytest
+
 from bettiforge.cli import main
 
 
@@ -10,3 +12,60 @@ def test_check_syzygy_passes_at_odd_reduced_sum(capsys):
     argv = ["check", "syzygy", "--degrees", "3,2,2", "--ell-power", "3", "--max-degree", "6"]
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == "all 36 syzygy basis elements up to degree 6 pass"
+
+
+E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
+ESYM_5_2 = """\
+x1^2
+x2^2
+x3^2
+x4^2
+x5^2
+x2*x3 - x2*x4 - x3*x5 + x4*x5
+x1*x3 - x1*x4 - x3*x5 + x4*x5
+x2*x3 - x2*x5 - x3*x4 + x4*x5
+x1*x3 - x1*x5 - x3*x4 + x4*x5
+x1*x2 - x1*x4 - x2*x5 + x4*x5
+x1*x2 - x1*x5 - x2*x4 + x4*x5
+x2*x4 - x2*x5 - x3*x4 + x3*x5
+x1*x4 - x1*x5 - x3*x4 + x3*x5
+x1*x2 - x1*x3 - x2*x5 + x3*x5
+x1*x2 - x1*x5 - x2*x3 + x3*x5
+x1*x2 - x1*x3 - x2*x4 + x3*x4
+x1*x2 - x1*x4 - x2*x3 + x3*x4
+x1*x4 - x1*x5 - x2*x4 + x2*x5
+x1*x3 - x1*x5 - x2*x3 + x2*x5
+x1*x3 - x1*x4 - x2*x3 + x2*x4
+"""
+LEFSCHETZ_333_2 = (
+    '{"verdict": "SLP", "element": "x1 + x2 + x3", "checks": ['
+    '{"i": 0, "power": 1, "dims": [1, 3], "rank": 1}, {"i": 1, "power": 1, "dims": [3, 6], "rank": 3}, '
+    '{"i": 2, "power": 1, "dims": [6, 3], "rank": 3}, {"i": 3, "power": 1, "dims": [3, 1], "rank": 1}, '
+    '{"i": 0, "power": 2, "dims": [1, 6], "rank": 1}, {"i": 1, "power": 2, "dims": [3, 3], "rank": 3}, '
+    '{"i": 2, "power": 2, "dims": [6, 1], "rank": 1}, {"i": 0, "power": 3, "dims": [1, 3], "rank": 1}, '
+    '{"i": 1, "power": 3, "dims": [3, 1], "rank": 1}, {"i": 0, "power": 4, "dims": [1, 1], "rank": 1}]}\n')
+
+
+def _colon_332(middle):
+    return f"1 3 3 1\nx1^2 - x1*x2 + x2^2\nx1^2 {middle}*x1*x2 - x1*x3 + x2*x3\nx3^2\n"
+
+
+# recorded stdout, generator order included
+GOLDEN = [
+    (["colon", "--degrees", "3,3,2", "--ell-power", "2"], _colon_332("+ 32760")),
+    (["colon", "--degrees", "3,3,2", "--ell-power", "2", "--field", "1073741789"],
+     _colon_332("+ 536870894")),
+    (["colon", "--degrees", "3,3,2", "--ell-power", "2", "--field", "rational"],
+     _colon_332("- 1/2")),
+    (["annihilator", "--form", E3, "--nvars", "4"],
+     "1 4 4 1\nx1^2\nx2^2\nx1*x3 - x1*x4 - x2*x3 + x2*x4\nx3^2\nx1*x2 - x1*x4 - x2*x3 + x3*x4\nx4^2\n"),
+    (["esym", "gens", "--nvars", "5", "--d", "2"], ESYM_5_2),
+    (["lefschetz", "--colon", "--degrees", "3,3,3", "--ell-power", "2", "--format", "json"],
+     LEFSCHETZ_333_2),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", GOLDEN, ids=[" ".join(a[:1] + a[-2:]) for a, _ in GOLDEN])
+def test_cli_output_is_unchanged(argv, stdout, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout

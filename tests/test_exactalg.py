@@ -151,7 +151,7 @@ def test_rank_agrees_over_fields(rows):
     for f in fields:
         acc = Accumulator(ncols, f)
         for row in rows:
-            acc.absorb(row)
+            acc.absorb([row])
         assert rank_of_rows(rows, ncols, f) == acc.dim == bases[f].dim == rank
     qq = bases[QQ]
     pivots, reduced = _rref_reference(rows)
@@ -160,6 +160,32 @@ def test_rank_agrees_over_fields(rows):
     for f in fields[1:]:
         assert bases[f].pivots == qq.pivots
         assert [[f.coerce(x) for x in row] for row in qq.tails] == bases[f].tails.tolist()
+
+
+row_blocks = st.integers(1, 5).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=1, max_size=7),
+        st.lists(st.integers(0, 7), max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_blocks)
+def test_block_accumulator_matches_from_rows(rows_and_cuts):
+    # the rows arrive in blocks split at random cuts, empty blocks included
+    rows, cuts = rows_and_cuts
+    ncols = len(rows[0])
+    cuts = sorted(min(c, len(rows)) for c in cuts)
+    blocks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    for f in (QQ, GF_DEFAULT, GF_PARANOIA):
+        acc = Accumulator(ncols, f)
+        for block in blocks:
+            before = acc.dim
+            added = acc.absorb(block)
+            assert added == (acc.dim - before or None)
+        want = RowBasis.from_rows(rows, ncols, f)
+        assert acc.dim == want.dim
+        assert acc.pivots == want.pivots and acc.support == want.support
+        assert acc.tails.tolist() == want.tails.tolist()
 
 
 def _field_type_tests(tree):

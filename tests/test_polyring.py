@@ -21,7 +21,13 @@ from bettiforge.errors import (
     NonHomogeneousError,
     PreconditionError,
 )
-from bettiforge.polyring import monomial_index, monomials_of_degree
+from bettiforge.polyring import (
+    exponent_array,
+    monomial_index,
+    monomial_mul,
+    monomials_of_degree,
+    product_positions,
+)
 
 
 def x(i, n=2, field=QQ):
@@ -32,6 +38,23 @@ def test_monomial_order_descending():
     monos = monomials_of_degree(3, 2)
     assert monos[0] == (2, 0, 0) and monos[-1] == (0, 0, 2)
     assert monos == tuple(sorted(monos, reverse=True))
+
+
+@pytest.mark.parametrize("nvars", range(7))
+def test_product_positions_match_the_monomial_index(nvars):
+    for dm in range(8):
+        monos = monomials_of_degree(nvars, dm)
+        for dw in range(4):
+            terms = monomials_of_degree(nvars, dw)
+            idx = monomial_index(nvars, dm + dw)
+            want = [[idx[monomial_mul(m, w)] for w in terms] for m in monos]
+            got = product_positions(exponent_array(nvars, dm), exponent_array(nvars, dw))
+            assert got.shape == (len(monos), len(terms)) and got.tolist() == want
+            none = product_positions(exponent_array(nvars, dm)[:0], exponent_array(nvars, dw))
+            assert none.shape == (0, len(terms))
+        one = exponent_array(nvars, 0)
+        assert product_positions(exponent_array(nvars, dm), one)[:, 0].tolist() == \
+            list(range(len(monos)))
 
 
 def test_multiply_difference_of_squares():

@@ -15,6 +15,8 @@ from bettiforge import (
     membership,
     minimal_betti_oracle,
     minimal_generators,
+    monomials_of_degree,
+    parse_polynomial,
     power_of_linear,
     quotient_hilbert,
     rref,
@@ -23,8 +25,10 @@ from bettiforge import (
     syzygies_in_degree,
 )
 from bettiforge.errors import NonArtinianError, PreconditionError
+from bettiforge.exactalg import rank_of_rows
+from bettiforge.polyring import monomial_index, monomial_mul
 
-from helpers import oracle_table, powers_ideal
+from helpers import FIELDS, odd_parity_sweep, oracle_table, powers_ideal
 
 
 def vp(i, d, n, field=QQ):
@@ -208,3 +212,55 @@ def test_slices_beyond_bound_raise():
     slices = ideal_slices([vp(0, 2, 2)], max_degree=3)
     with pytest.raises(PreconditionError):
         slices.quotient_dim(5)
+
+
+def _greedy_generators_reference(slices):
+    """The greedy rule, one row and one rank at a time: basis row k of I_j is a
+    generator when it raises the rank of R_1 * I_{j-1} plus the rows before it."""
+    nvars, field = slices.nvars, slices.field
+    out = []
+    for j in range(slices.bound + 1):
+        idx = monomial_index(nvars, j)
+        ncols = len(idx)
+        rows = []
+        if j > 0:
+            for v in range(nvars):
+                unit = tuple(int(k == v) for k in range(nvars))
+                shift = [idx[monomial_mul(m, unit)] for m in monomials_of_degree(nvars, j - 1)]
+                for row in slices.bases[j - 1].full_rows():
+                    lifted = field.zeros(ncols)
+                    lifted[shift] = row
+                    rows.append(lifted)
+        rank = rank_of_rows(rows, ncols, field) if rows else 0
+        for row in slices.bases[j].full_rows():
+            rows.append(row)
+            if rank_of_rows(rows, ncols, field) > rank:
+                rank += 1
+                out.append(Polynomial.from_vector(list(row), nvars, j, field))
+    return out
+
+
+@pytest.mark.parametrize("field_key", sorted(FIELDS))
+@pytest.mark.parametrize("degrees,e,f", [((3, 3, 2), 2, None), ((3, 3, 3), 2, None),
+                                         ((2, 2, 2, 2), 3, None), ((4, 4, 3), 3, "x1*x2 + x3^2")])
+def test_minimal_generators_match_the_greedy_reference(field_key, degrees, e, f):
+    field = FIELDS[field_key]
+    gens = powers_ideal(DegreeSequence(len(degrees), degrees, e), field)
+    if f is None:
+        col = colon_ideal(gens[:-1], gens[-1])
+    else:
+        col = colon_ideal(gens, parse_polynomial(f, nvars=len(degrees), field=field))
+    assert minimal_generators(col) == _greedy_generators_reference(col)
+
+
+@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
+def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
+    for ds in odd_parity_sweep([2, 3]):
+        gens = powers_ideal(ds, GF_DEFAULT)
+        slices = ideal_slices(gens) if kind == "aci" else colon_ideal(gens[:-1], gens[-1])
+        counts = {}
+        for g in minimal_generators(slices):
+            d = g.homogeneous_degree()
+            counts[d] = counts.get(d, 0) + 1
+        table = oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind)
+        assert counts == table.column(1), (ds, kind)

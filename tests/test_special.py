@@ -149,7 +149,7 @@ def orbit_span_dim(polys, degree):
 
     acc = Accumulator(len(monomials_of_degree(polys[0].nvars, degree)), field)
     for p in polys:
-        acc.absorb(p.to_vector())
+        acc.absorb([p.to_vector()])
     return acc.dim
 
 
