@@ -18,13 +18,9 @@ from .exactalg import (
     GF_PARANOIA,
     PARANOIA_PRIME,
     QQ,
-    ExactMatrix,
     PrimeField,
     RationalField,
     field_from_spec,
-    in_span,
-    kernel_basis,
-    rref,
 )
 from .formulas import (
     BettiTable,

@@ -146,11 +146,9 @@ def _oracle_table(ds, field, colon):
 
 
 def _diff_tables(formula, oracle):
+    """The (i, j) cells where the two tables differ, in sorted order."""
     keys = sorted(set(formula.entries) | set(oracle.entries))
-    for key in keys:
-        if formula.get(*key) != oracle.get(*key):
-            return key
-    return None
+    return [key for key in keys if formula.get(*key) != oracle.get(*key)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +211,11 @@ def _cmd_betti(args):
     if args.verify:
         oracle = _oracle_table(ds, field, colon)
         diff = _diff_tables(table, oracle)
-        if diff is not None:
-            i, j = diff
-            print(f"verify failed: first differing entry (i={i}, j={j}): "
-                  f"formula {table.get(i, j)} oracle {oracle.get(i, j)}", file=sys.stderr)
+        if diff:
+            print(f"verify failed: {len(diff)} differing entries", file=sys.stderr)
+            for i, j in diff:
+                print(f"({i}, {j}): formula {table.get(i, j)} oracle {oracle.get(i, j)}",
+                      file=sys.stderr)
             return 2
     print(emit_table(table, ds.nvars, fmt))
     return 0

@@ -6,17 +6,23 @@ operations the kernels need (`zeros`, `array`, `reduce`, `inv`, `sub_matmul`,
 arrays, so every product fits a 64-bit intermediate; QQ keeps normalized
 `fractions.Fraction` entries in object arrays.  One elimination routine,
 `_eliminate`, serves both fields, and every structure here is built on it.
+
+The public surface: the field classes (`PrimeField`, `RationalField`, the
+instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
+`rank_of_rows` for ranks, `RowBasis` for a subspace in fully reduced form
+(reduction, membership, quotient classes, kernels built from its pivots and
+tails), and `Accumulator`, a `RowBasis` that grows block by block.  Matrices
+are plain field arrays throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
+from .errors import FieldMismatchError, PreconditionError
 
 DEFAULT_PRIME = 65521
 PARANOIA_PRIME = 1073741789
@@ -367,119 +373,3 @@ class Accumulator(RowBasis):
         self.tails = np.concatenate([self.tails[:, keep], block[:, keep]])[order]
         return len(new)
 
-
-# ---------------------------------------------------------------------------
-# the public matrix surface
-
-
-class ExactMatrix:
-    """A matrix over one exact field, built from sparse (row, col, value) entries."""
-
-    def __init__(self, nrows, ncols, entries, field):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.field = field
-        self._data = field.zeros((nrows, ncols))
-        for i, j, v in entries:
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise DimensionMismatchError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            self._data[i, j] = field.coerce(v)
-
-    @classmethod
-    def from_rows(cls, rows, field, ncols=None):
-        rows = list(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatchError(f"every row needs exactly {ncols} entries")
-        out = cls(len(rows), ncols, (), field)
-        out._data = field.array(rows, ncols)
-        return out
-
-    def entry(self, i, j):
-        return self.field.coerce(self._data[i, j])
-
-    def entries(self):
-        """Yield the nonzero entries as (row, col, value)."""
-        for i, j in zip(*np.nonzero(self._data)):
-            yield int(i), int(j), self.entry(i, j)
-
-    def rows(self):
-        return self._data
-
-    def column(self, j):
-        return self._data[:, j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols) or self.field != other.field:
-            return False
-        return bool(np.array_equal(self._data, other._data))
-
-
-@dataclass
-class RrefResult:
-    rank: int
-    pivots: list
-    matrix: ExactMatrix
-
-
-def rref(m):
-    """Reduced row echelon form with deterministic column-major pivoting."""
-    red = ExactMatrix.from_rows(m._data, m.field, m.ncols)
-    pivots = _eliminate(red._data, m.field, full=True)
-    return RrefResult(len(pivots), pivots, red)
-
-
-def kernel_basis(m):
-    """Basis of {v : m v = 0}, each vector scaled so its first nonzero is 1."""
-    res = rref(m)
-    pivset = set(res.pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    fld = m.field
-    red = res.matrix
-    basis = []
-    for f in free:
-        v = [fld.zero] * m.ncols
-        v[f] = fld.one
-        for k, p in enumerate(res.pivots):
-            val = red.entry(k, f)
-            if not fld.is_zero(val):
-                v[p] = fld.neg(val)
-        lead = next(x for x in v if not fld.is_zero(x))
-        if lead != fld.one:
-            inv = fld.inv(lead)
-            v = [fld.mul(inv, x) for x in v]
-        basis.append(v)
-    return basis
-
-
-@dataclass
-class SpanResult:
-    member: bool
-    coefficients: list | None
-
-    def __bool__(self):
-        return self.member
-
-
-def in_span(target, generators):
-    """Does `target` lie in the column space of `generators`?
-
-    On success the certificate c satisfies generators @ c == target exactly.
-    """
-    m = generators
-    if len(target) != m.nrows:
-        raise DimensionMismatchError(f"target length {len(target)} != {m.nrows} rows")
-    fld = m.field
-    aug = fld.zeros((m.nrows, m.ncols + 1))
-    aug[:, :m.ncols] = m._data
-    aug[:, m.ncols] = [fld.coerce(t) for t in target]
-    pivots = _eliminate(aug, fld, full=True)
-    if m.ncols in pivots:
-        return SpanResult(False, None)
-    coeffs = [fld.zero] * m.ncols
-    for k, p in enumerate(pivots):
-        coeffs[p] = fld.coerce(aug[k, m.ncols])
-    return SpanResult(True, coeffs)

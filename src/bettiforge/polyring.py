@@ -4,6 +4,9 @@ Monomials are exponent tuples.  The fixed monomial order is graded
 lexicographic with x1 > x2 > ... > xn; within one degree, bases are listed in
 decreasing order (x1^d first, xn^d last), and all matrix rows/columns follow
 that listing so kernels and certificates are reproducible.
+
+Macaulay matrices are plain field arrays (see `exactalg`), so
+`rank_of_rows` and `RowBasis` take them as they are.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHomogeneousError, PreconditionError
-from .exactalg import QQ, ExactMatrix, same_field
+from .exactalg import QQ, same_field
 
 
 def monomial_degree(mono):
@@ -355,30 +358,40 @@ def macaulay_columns(generators, j):
     return cols
 
 
-def macaulay_matrix(generators, j, nvars=None, field=None):
-    """Matrix whose column space is the degree-j slice of the generated ideal.
+def term_exponents(g):
+    """g's terms as an int64 exponent array (one row per term), and their coefficients."""
+    terms = np.array(list(g.coeffs), dtype=np.int64).reshape(len(g.coeffs), g.nvars)
+    return terms, list(g.coeffs.values())
 
-    Rows run over the degree-j monomials in the fixed order; one column per
-    product m * g with m a monomial of degree j - deg g.
+
+def macaulay_matrix(generators, j, nvars=None, field=None):
+    """Field array whose column space is the degree-j slice of the generated ideal.
+
+    Rows run over the degree-j monomials in the fixed order; the columns follow
+    `macaulay_columns`, one per product m * g with m a monomial of degree j - deg g.
     """
-    if not generators:
-        if nvars is None or field is None:
-            raise PreconditionError("an empty generator list needs explicit nvars and field")
-        return ExactMatrix(len(monomials_of_degree(nvars, j)), 0, (), field)
-    nvars = generators[0].nvars
-    field = same_field(*[g.field for g in generators])
+    if generators:
+        nvars = generators[0].nvars
+        field = same_field(*[g.field for g in generators])
+    elif nvars is None or field is None:
+        raise PreconditionError("an empty generator list needs explicit nvars and field")
     for g in generators:
         if not g.is_homogeneous():
             raise NonHomogeneousError("Macaulay matrices need homogeneous generators")
         if g.nvars != nvars:
             raise DimensionMismatchError("generators live in different rings")
-    rows_idx = monomial_index(nvars, j)
-    cols = macaulay_columns(generators, j)
-    entries = []
-    for c, (g_idx, m) in enumerate(cols):
-        for mono, val in generators[g_idx].coeffs.items():
-            entries.append((rows_idx[monomial_mul(mono, m)], c, val))
-    return ExactMatrix(len(rows_idx), len(cols), entries, field)
+    nrows = len(monomials_of_degree(nvars, j))
+    blocks = [field.zeros((nrows, 0))]
+    for g in generators:
+        d = g.homogeneous_degree()
+        if d is None or d > j:
+            continue
+        terms, coeffs = term_exponents(g)
+        rows = product_positions(exponent_array(nvars, j - d), terms)
+        block = field.zeros((nrows, len(rows)))
+        block[rows, np.arange(len(rows))[:, None]] = field.array([coeffs], len(coeffs))
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1)
 
 
 # ---------------------------------------------------------------------------

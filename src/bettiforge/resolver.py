@@ -28,8 +28,11 @@ from .formulas import BettiTable
 from .polyring import (
     Polynomial,
     exponent_array,
+    macaulay_columns,
+    macaulay_matrix,
     monomials_of_degree,
     product_positions,
+    term_exponents,
     variable_shift_map,
 )
 
@@ -47,12 +50,6 @@ def _split_generators(gens):
         else:
             dense.append(g)
     return monos, dense
-
-
-def _term_exponents(g):
-    """g's terms as an int64 exponent array (one row per term), and their coefficients."""
-    terms = np.array(list(g.coeffs), dtype=np.int64).reshape(len(g.coeffs), g.nvars)
-    return terms, list(g.coeffs.values())
 
 
 def slice_at_degree(gens, j, nvars, field):
@@ -77,7 +74,7 @@ def slice_at_degree(gens, j, nvars, field):
         dg = g.homogeneous_degree()
         if dg > j:
             continue
-        terms, coeffs = _term_exponents(g)
+        terms, coeffs = term_exponents(g)
         cols = cand_pos[product_positions(exponent_array(nvars, j - dg), terms)]
         block = field.zeros((len(cols), len(candidates)))
         rows, t = np.nonzero(cols >= 0)
@@ -284,10 +281,6 @@ class GradedQuotient:
     def top_degree(self):
         return self.slices.socle_degree
 
-    def std_monomials(self, j):
-        monos = monomials_of_degree(self.nvars, j)
-        return [monos[c] for c in self.slices.bases[j].support]
-
     def class_matrix(self, j):
         if j not in self._classes:
             self._classes[j] = self.slices.bases[j].class_matrix()
@@ -309,7 +302,7 @@ class GradedQuotient:
         exps = exponent_array(self.nvars, k)
         if monos is not None:
             exps = exps[list(monos)]
-        terms, coeffs = _term_exponents(g)
+        terms, coeffs = term_exponents(g)
         target = self.class_matrix(k + g.homogeneous_degree())
         return _accumulate_products(self.field, target, product_positions(exps, terms), coeffs)
 
@@ -484,21 +477,25 @@ class RelationVector:
 
 
 def syzygies_in_degree(gens, j):
-    """Basis of the degree-j first syzygies of the given generators."""
-    from .exactalg import kernel_basis
-    from .polyring import macaulay_columns, macaulay_matrix
+    """Basis of the degree-j first syzygies of the given generators.
 
+    The kernel of the Macaulay matrix, one relation per non-pivot column in
+    increasing order, each scaled so that its first nonzero coefficient (in
+    `macaulay_columns` order) is 1.
+    """
     gens = list(gens)
     nvars, field = _infer_ring(gens, None, None)
-    mat = macaulay_matrix(gens, j)
     cols = macaulay_columns(gens, j)
+    kernel = _kernel_row_basis(macaulay_matrix(gens, j), len(cols), field)
     out = []
-    for vec in kernel_basis(mat):
-        parts = [Polynomial.zero(nvars, field) for _ in gens]
-        for (g_idx, m), c in zip(cols, vec):
-            if not field.is_zero(c):
-                parts[g_idx] = parts[g_idx] + Polynomial.monomial(m, field, c)
-        rel = RelationVector(tuple(parts))
+    for vec in kernel.full_rows():
+        nz = np.flatnonzero(vec)
+        vec = field.reduce(vec * field.inv(vec[nz[0]]))
+        parts = [{} for _ in gens]
+        for k in nz:
+            g_idx, m = cols[k]
+            parts[g_idx][m] = vec[k]
+        rel = RelationVector(tuple(Polynomial(nvars, field, p) for p in parts))
         if not rel.check(gens):
             raise ConsistencyError("kernel vector is not a relation")
         out.append(rel)

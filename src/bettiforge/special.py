@@ -72,10 +72,6 @@ class LiftedFamily:
     fs: list
     f_ell: Polynomial
 
-    @property
-    def lifted_ideal(self):
-        return self.fs + [self.f_ell]
-
 
 def _divisible_by_xn4(poly, nvars):
     return all(m[nvars - 1] >= 4 for m in poly.coeffs)

@@ -1,6 +1,12 @@
-import pytest
+import json
 
-from bettiforge.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bettiforge.cli as cli
+from bettiforge import BettiTable, betti_aci_odd
+from bettiforge.cli import betti_from_json_dict, betti_to_json_dict, main
 
 
 def test_check_syzygy_refuses_even_reduced_sum(capsys):
@@ -69,3 +75,33 @@ GOLDEN = [
 def test_cli_output_is_unchanged(argv, stdout, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_verify_reports_every_differing_cell(monkeypatch, capsys):
+    # (x1^2, x2^2, (x1 + x2)^2) has beta = {(0,0): 1, (1,2): 3, (2,3): 2}
+    def two_wrong_cells(ds):
+        table = BettiTable({(2, 4): 1})
+        for (i, j), v in betti_aci_odd(ds).items():
+            table.set(i, j, v + ((i, j) == (1, 2)))
+        return table
+
+    monkeypatch.setattr(cli, "betti_aci_odd", two_wrong_cells)
+    argv = ["betti", "formula", "aci", "--degrees", "2,2", "--ell-power", "2", "--verify"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("verify failed: 2 differing entries\n"
+                   "(1, 2): formula 4 oracle 3\n"
+                   "(2, 4): formula 1 oracle 0\n")
+
+
+betti_tables = st.dictionaries(
+    st.integers(0, 5).flatmap(lambda i: st.tuples(st.just(i), st.integers(i, i + 8))),
+    st.integers(1, 500), max_size=12).map(BettiTable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(betti_tables, st.integers(1, 8))
+def test_betti_json_round_trip(table, nvars):
+    text = json.dumps(betti_to_json_dict(table, nvars))
+    assert betti_from_json_dict(json.loads(text)) == table

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,71 +12,46 @@ from bettiforge import (
     GF_DEFAULT,
     GF_PARANOIA,
     QQ,
-    ExactMatrix,
     PrimeField,
     field_from_spec,
-    in_span,
-    kernel_basis,
-    rref,
 )
-from bettiforge.errors import DimensionMismatchError, PreconditionError
+from bettiforge.errors import PreconditionError
 from bettiforge.exactalg import Accumulator, RowBasis, rank_of_rows
+from bettiforge.resolver import _kernel_row_basis
+
+FIELDS = (QQ, GF_DEFAULT, GF_PARANOIA)
 
 
 def test_rref_identity():
-    m = ExactMatrix.from_rows([[1, 0], [0, 1]], QQ)
-    res = rref(m)
-    assert res.rank == 2 and res.pivots == [0, 1]
+    basis = RowBasis.from_rows([[1, 0], [0, 1]], 2, QQ)
+    assert basis.dim == 2 and basis.pivots == (0, 1) and basis.support == ()
 
 
 def test_rref_zero_matrix():
-    m = ExactMatrix(3, 4, (), QQ)
-    res = rref(m)
-    assert res.rank == 0 and res.pivots == []
+    basis = RowBasis.from_rows(QQ.zeros((3, 4)), 4, QQ)
+    assert basis.dim == 0 and basis.pivots == () and basis.support == (0, 1, 2, 3)
 
 
 def test_rref_proportional_rows():
-    m = ExactMatrix.from_rows([[1, 2], [2, 4]], QQ)
-    assert rref(m).rank == 1
+    basis = RowBasis.from_rows([[1, 2], [2, 4]], 2, QQ)
+    assert basis.dim == 1 and basis.full_rows().tolist() == [[1, 2]]
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(ExactMatrix.from_rows([[1, 0], [0, 1]], QQ)) == []
+    kernel = _kernel_row_basis([[1, 0], [0, 1]], 2, QQ)
+    assert kernel.dim == 0 and kernel.full_rows().shape == (0, 2)
 
 
 def test_kernel_one_one():
-    (v,) = kernel_basis(ExactMatrix.from_rows([[1, 1]], QQ))
-    assert v == [Fraction(1), Fraction(-1)]
+    kernel = _kernel_row_basis([[1, 1]], 2, QQ)
+    assert kernel.pivots == (1,) and kernel.full_rows().tolist() == [[Fraction(-1), Fraction(1)]]
 
 
 def test_kernel_rank_one():
-    # solve a + 2b = 0 by hand: kernel spanned by (2, -1), normalized (1, -1/2)
-    (v,) = kernel_basis(ExactMatrix.from_rows([[1, 2], [2, 4]], QQ))
+    # solve a + 2b = 0 by hand: kernel spanned by (2, -1), scaled (-2, 1) at the free column b
+    (v,) = _kernel_row_basis([[1, 2], [2, 4]], 2, QQ).full_rows()
     assert v[0] * Fraction(-1) == v[1] * Fraction(2)
-    assert v[0] == 1
-
-
-def test_in_span_first_column():
-    gens = ExactMatrix.from_rows([[1, 3], [0, 1]], QQ)
-    res = in_span([1, 0], gens)
-    assert res.member and res.coefficients == [Fraction(1), Fraction(0)]
-
-
-def test_in_span_outside():
-    gens = ExactMatrix.from_rows([[1], [2]], QQ)
-    assert not in_span([1, 3], gens).member
-
-
-def test_in_span_column_sum():
-    gens = ExactMatrix.from_rows([[1, 0, 5], [0, 1, 7]], QQ)
-    res = in_span([1, 1], gens)
-    assert res.member and res.coefficients == [1, 1, 0]
-
-
-def test_in_span_dimension_mismatch():
-    gens = ExactMatrix.from_rows([[1, 0]], QQ)
-    with pytest.raises(DimensionMismatchError):
-        in_span([1, 0], gens)
+    assert v[1] == 1
 
 
 def test_prime_field_validation():
@@ -109,12 +85,12 @@ small_matrices = st.integers(1, 3).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rank_nullity_and_idempotence(rows):
-    for field in (QQ, GF_DEFAULT):
-        m = ExactMatrix.from_rows(rows, field)
-        res = rref(m)
-        assert res.rank + len(kernel_basis(m)) == m.ncols
-        again = rref(res.matrix)
-        assert again.matrix == res.matrix and again.pivots == res.pivots
+    ncols = len(rows[0])
+    for field in FIELDS:
+        basis = RowBasis.from_rows(rows, ncols, field)
+        assert basis.dim + _kernel_row_basis(rows, ncols, field).dim == ncols
+        again = RowBasis.from_rows(basis.full_rows(), ncols, field)
+        assert again.pivots == basis.pivots and again.tails.tolist() == basis.tails.tolist()
 
 
 def _rref_reference(rows):
@@ -143,12 +119,9 @@ def test_rank_agrees_over_fields(rows):
     # vanishes mod p unless it vanishes over QQ: ranks and pivots agree, and the
     # reduced rows (ratios of minors) agree once coerced into GF(p)
     ncols = len(rows[0])
-    fields = (QQ, GF_DEFAULT, GF_PARANOIA)
-    ranks = {rref(ExactMatrix.from_rows(rows, f)).rank for f in fields}
-    assert len(ranks) == 1
-    (rank,) = ranks
-    bases = {f: RowBasis.from_rows(rows, ncols, f) for f in fields}
-    for f in fields:
+    bases = {f: RowBasis.from_rows(rows, ncols, f) for f in FIELDS}
+    rank = bases[QQ].dim
+    for f in FIELDS:
         acc = Accumulator(ncols, f)
         for row in rows:
             acc.absorb([row])
@@ -157,7 +130,7 @@ def test_rank_agrees_over_fields(rows):
     pivots, reduced = _rref_reference(rows)
     assert list(qq.pivots) == pivots
     assert qq.tails.tolist() == [[row[c] for c in qq.support] for row in reduced]
-    for f in fields[1:]:
+    for f in FIELDS[1:]:
         assert bases[f].pivots == qq.pivots
         assert [[f.coerce(x) for x in row] for row in qq.tails] == bases[f].tails.tolist()
 
@@ -222,26 +195,48 @@ def test_no_field_type_branches_outside_the_field_classes():
     assert [h for h in hits if h.split(":")[1] not in allowed] == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-def test_in_span_certificate_is_exact(rows, coeffs):
-    m = ExactMatrix.from_rows(rows, QQ)
-    coeffs = (coeffs + [0] * m.ncols)[:m.ncols]
-    target = [sum(row[c] * coeffs[c] for c in range(m.ncols)) for row in rows]
-    res = in_span(target, m)
-    assert res.member
-    rebuilt = [sum(row[c] * res.coefficients[c] for c in range(m.ncols)) for row in rows]
-    assert rebuilt == [Fraction(t) for t in target]
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _references(node):
+    """Every name a subtree reads, imports or looks up as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def test_every_definition_has_a_caller():
+    # a definition whose name appears nowhere in src/ or tests/ but in its own body is dead code
+    src = Path(bettiforge.__file__).parent
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))}
+    seen = Counter(name for tree in trees.values() for name in _references(tree))
+    dead = [f"{path.name}:{node.name}" for path, tree in trees.items() if path.parent == src
+            for node in _definitions(tree)
+            if seen[node.name] == Counter(_references(node))[node.name]]
+    assert dead == []
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_matrices)
 def test_kernel_vectors_annihilate(rows):
-    for field in (QQ, GF_DEFAULT):
-        m = ExactMatrix.from_rows(rows, field)
-        for v in kernel_basis(m):
+    ncols = len(rows[0])
+    for field in FIELDS:
+        kernel = _kernel_row_basis(rows, ncols, field)
+        for v in kernel.full_rows():
             for row in rows:
                 total = field.zero
-                for c in range(m.ncols):
-                    total = field.add(total, field.mul(field.coerce(row[c]), v[c]))
+                for c in range(ncols):
+                    total = field.add(total, field.mul(field.coerce(row[c]), field.coerce(v[c])))
                 assert field.is_zero(total)

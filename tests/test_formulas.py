@@ -20,6 +20,8 @@ from bettiforge import (
 )
 from bettiforge.errors import MinimalityError, ParityError, PreconditionError
 
+from helpers import odd_parity_sweep, oracle_table, quadric_sum_sweep
+
 
 def brute_koszul(degrees):
     # independent subset enumeration
@@ -162,3 +164,14 @@ def test_alternating_sums_match_series(args):
     wg = series_numerator(gorenstein_linked_hilbert(ds), ds.nvars)
     assert g.alternating_numerator() == {j: v for j, v in enumerate(wg) if v}
     assert g.is_self_dual(ds.nvars, ds.linked_socle_degree)
+
+
+@pytest.mark.parametrize("formula,kind,sweep", [
+    (betti_aci_odd, "aci", odd_parity_sweep),
+    (betti_gorenstein_odd, "gorenstein", odd_parity_sweep),
+    (lambda ds: betti_sum_formula(ds, target="aci"), "aci", quadric_sum_sweep),
+    (lambda ds: betti_sum_formula(ds, target="gorenstein"), "gorenstein", quadric_sum_sweep),
+], ids=["aci", "gorenstein", "sum-aci", "sum-gorenstein"])
+def test_formula_matches_oracle_on_the_sweep(formula, kind, sweep):
+    for ds in sweep([2, 3, 4]):
+        assert formula(ds) == oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind), ds

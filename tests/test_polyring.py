@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bettiforge import (
     GF_DEFAULT,
+    GF_PARANOIA,
     QQ,
     Polynomial,
     contract,
@@ -13,21 +14,25 @@ from bettiforge import (
     macaulay_matrix,
     parse_polynomial,
     power_of_linear,
-    rref,
     standard_linear_form,
 )
 from bettiforge.errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     NonHomogeneousError,
     PreconditionError,
 )
+from bettiforge.exactalg import rank_of_rows
 from bettiforge.polyring import (
     exponent_array,
+    macaulay_columns,
     monomial_index,
     monomial_mul,
     monomials_of_degree,
     product_positions,
 )
+
+FIELDS = (QQ, GF_DEFAULT, GF_PARANOIA)
 
 
 def x(i, n=2, field=QQ):
@@ -103,24 +108,43 @@ def test_power_of_linear_examples():
 
 def test_macaulay_single_generator():
     m = macaulay_matrix([Polynomial.variable_power(0, 2, 2, QQ)], 3)
-    assert (m.nrows, m.ncols) == (4, 2)
-    assert rref(m).rank == 2
+    assert m.shape == (4, 2)
+    assert rank_of_rows(m, m.shape[1], QQ) == 2
 
 
 def test_macaulay_empty():
     m = macaulay_matrix([], 5, nvars=2, field=QQ)
-    assert m.ncols == 0 and m.nrows == 6
+    assert m.shape == (6, 0)
+    with pytest.raises(PreconditionError):
+        macaulay_matrix([], 5)
 
 
 def test_macaulay_two_squares():
     gens = [Polynomial.variable_power(i, 2, 2, QQ) for i in range(2)]
     m = macaulay_matrix(gens, 2)
-    assert rref(m).rank == 2  # only x1 x2 survives in the quotient
+    assert rank_of_rows(m, m.shape[1], QQ) == 2  # only x1 x2 survives in the quotient
 
 
 def test_macaulay_rejects_inhomogeneous():
     with pytest.raises(NonHomogeneousError):
         macaulay_matrix([x(0) + Polynomial.constant(1, 2, QQ)], 2)
+    with pytest.raises(DimensionMismatchError):
+        macaulay_matrix([x(0, 2), x(0, 3)], 2)
+    with pytest.raises(FieldMismatchError):
+        macaulay_matrix([x(0), x(1, 2, GF_DEFAULT)], 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_macaulay_columns_are_the_labelled_products(field):
+    gens = [parse_polynomial(g, nvars=3, field=field)
+            for g in ("x1^2", "x1*x2 - 3/2*x3^2", "0", "x1^3 + x2^3 - x1*x2*x3")]
+    for j in range(6):
+        m = macaulay_matrix(gens, j)
+        cols = macaulay_columns(gens, j)
+        assert m.shape == (len(monomials_of_degree(3, j)), len(cols))
+        for c, (g_idx, mono) in enumerate(cols):
+            want = (gens[g_idx] * Polynomial.monomial(mono, field)).to_vector(j)
+            assert m[:, c].tolist() == want
 
 
 small_polys = st.builds(
@@ -150,9 +174,9 @@ def test_contract_is_bilinear_module_action(f, g, big):
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_macaulay_rank_monotone_under_generators(d1, d2):
     gens = [Polynomial.variable_power(0, d1 + 1, 2, QQ)]
-    before = rref(macaulay_matrix(gens, 4)).rank
+    before = rank_of_rows(macaulay_matrix(gens, 4), len(macaulay_columns(gens, 4)), QQ)
     gens.append(power_of_linear([1, 2], d2 + 1))
-    after = rref(macaulay_matrix(gens, 4)).rank
+    after = rank_of_rows(macaulay_matrix(gens, 4), len(macaulay_columns(gens, 4)), QQ)
     assert after >= before
 
 
@@ -162,6 +186,22 @@ def test_parse_format_round_trip():
     assert p.coeffs[(0, 4, 0)] == -1
     assert p.coeffs[(1, 3, 0)] == Fraction(1, 2)
     assert parse_polynomial(format_polynomial(p), nvars=3) == p
+
+
+def _polys(field):
+    coeffs = (st.fractions(-50, 50, max_denominator=12) if field == QQ
+              else st.integers(0, field.characteristic - 1))
+    return st.integers(1, 3).flatmap(lambda n: st.builds(
+        lambda terms: Polynomial(n, field, dict(terms)),
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), coeffs), max_size=5)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_format_then_parse_is_the_identity(field, data):
+    p = data.draw(_polys(field))
+    assert parse_polynomial(format_polynomial(p), p.nvars, field) == p
 
 
 def test_parse_rejects_inhomogeneous_when_required():
