@@ -7,6 +7,16 @@ arrays, so every product fits a 64-bit intermediate; QQ keeps normalized
 `fractions.Fraction` entries in object arrays.  One elimination routine,
 `_eliminate`, serves both fields, and every structure here is built on it.
 
+Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010).  Each
+nonzero row has a leading column; one row per distinct leading column, the
+sparsest, gives an echelon block of k pivots with no arithmetic, on the rows
+or on the columns, whichever gives more.  If no other nonzero line is left,
+the rank is k.  Otherwise, over GF(p) when k·(p−1)² + p <= 2**53, the other
+rows are reduced against that block exactly in float64 BLAS (delayed
+reduction, as in FFLAS-FFPACK) and rank = k + rank(S) for their Schur
+complement S.  QQ, primes past the bound (GF(1073741789) always) and matrices
+more than half full go to `_eliminate`.  The input is never modified.
+
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
 `rank_of_rows` for ranks, `RowBasis` for a subspace in fully reduced form
@@ -26,6 +36,8 @@ from .errors import FieldMismatchError, PreconditionError
 
 DEFAULT_PRIME = 65521
 PARANOIA_PRIME = 1073741789
+# columns per float64 matmul in `_schur_complement`
+_SCHUR_BLOCK = 128
 
 
 def _is_prime(p):
@@ -266,9 +278,159 @@ def _eliminate(a, field, full):
     return pivots
 
 
+def _starts(x):
+    """Mask of the entries of a sorted array that differ from the one before."""
+    return np.concatenate(([True], x[1:] != x[:-1]))
+
+
+def _structural_pivots(major, minor):
+    """Free pivots of a matrix given by its nonzero coordinates, sorted by
+    (major, minor): for each distinct leading minor index, the major line with
+    the fewest nonzeros.  Returns those lines sorted by leading index, their
+    leading indices, and the other nonzero lines."""
+    first = np.flatnonzero(_starts(major))
+    lines, lead = major[first], minor[first]
+    order = np.lexsort((np.bincount(major)[lines], lead))
+    new = _starts(lead[order])
+    return lines[order[new]], lead[order[new]], lines[order[~new]]
+
+
+def _mod(x, p):
+    """x mod p in [0, p), in place, for a float64 array of integers with
+    |x| + p <= 2**53.  There x / p is never rounded across an integer, so the
+    quotient floor(x / p) is exact, and so is its product with p."""
+    q = np.floor(x / p)
+    q *= p
+    x -= q
+    return x
+
+
+def _sub_mod(c, a, b, p):
+    """c = (c - a @ b) mod p, in place, for float64 arrays of residues; exact
+    while the inner dimension times (p - 1)**2, plus p, stays within 2**53."""
+    c -= a @ b
+    return _mod(c, p)
+
+
+def _column_slab(i, j, v, nrows, start, stop):
+    """The dense nrows x (stop - start) block of the entries v at (i, j),
+    sorted by j, whose column is in [start, stop)."""
+    lo, hi = np.searchsorted(j, (start, stop))
+    out = np.zeros((nrows, stop - start))
+    out[i[lo:hi], j[lo:hi] - start] = v[lo:hi]
+    return out
+
+
+def _schur_complement(vals, i, j, k, nrest, nother, p):
+    """S = C - Y0 T^-1 B mod p for the matrix [[T, B], [Y0, C]] given by its
+    nonzero residues `vals` at (i, j), where T is k x k and upper triangular
+    with a nonzero diagonal.  `vals` is overwritten.
+
+    Only Y (nrest x k), C and S (nrest x nother) are held dense; T and B are
+    unpacked one block of columns at a time.
+    """
+    top, left = i < k, j < k
+    diag = top & (i == j)
+    heads = vals[diag].tolist()
+    inverse = {x: pow(int(x), -1, p) for x in set(heads)}
+    inv = np.empty(k)
+    inv[i[diag]] = [inverse[x] for x in heads]
+    vals[top] = _mod(vals[top] * inv[i[top]], p)  # T is now unit upper triangular
+    by_col = np.argsort(j, kind="stable")
+    i, j, vals, top, left = i[by_col], j[by_col], vals[by_col], top[by_col], left[by_col]
+    y = np.zeros((nrest, k), order="F")
+    y[i[~top & left] - k, j[~top & left]] = vals[~top & left]
+    c = np.zeros((nrest, nother))
+    c[i[~top & ~left] - k, j[~top & ~left] - k] = vals[~top & ~left]
+    t = i[top & left], j[top & left], vals[top & left]
+    b = i[top & ~left], j[top & ~left] - k, vals[top & ~left]
+    # Y T = Y0: one matmul per block of columns for the earlier blocks, then
+    # back-substitution on the block's few nonzeros.
+    used = np.zeros(k, bool)  # the columns of Y solved so far that hold a nonzero
+    for s in range(0, k, _SCHUR_BLOCK):
+        e = min(s + _SCHUR_BLOCK, k)
+        ts = _column_slab(*t, e, s, e)
+        inner = np.flatnonzero(ts[:s].any(axis=1) & used[:s])
+        if inner.size:
+            _sub_mod(y[:, s:e], y[:, inner], ts[inner], p)
+        for q in range(s + 1, e):
+            inner = s + np.flatnonzero(ts[s:q, q - s])
+            if inner.size:
+                _sub_mod(y[:, q], y[:, inner], ts[inner, q - s], p)
+        used[s:e] = y[:, s:e].any(axis=0)
+    inner = np.flatnonzero(used & (np.bincount(b[0], minlength=k) > 0))
+    y = y[:, inner]
+    for s in range(0, nother, _SCHUR_BLOCK):
+        e = min(s + _SCHUR_BLOCK, nother)
+        _sub_mod(c[:, s:e], y, _column_slab(*b, k, s, e)[inner], p)
+    return c
+
+
+def _rank(a, field, owned):
+    """Rank of the field array `a`, which is only read unless `owned`.
+
+    The pivots of a structural echelon block (`_structural_pivots` on the rows
+    of `a` or on its columns, whichever gives more) count without arithmetic.
+    Over GF(p) the other lines go into the Schur complement of the pivot block
+    (`_schur_complement`, exact in float64), and rank = k + rank(S).  Other
+    fields, and dense matrices, are eliminated directly.
+    """
+    nrows, ncols = a.shape
+    flat = np.flatnonzero(a.astype(bool))  # astype: 3x faster than != 0 on Fractions
+    if not flat.size:
+        return 0
+    rows, cols = np.divmod(flat, ncols)
+    piv, lead, rest = _structural_pivots(rows, cols)
+    by_col = np.argsort(cols, kind="stable")
+    t_piv, t_lead, t_rest = _structural_pivots(cols[by_col], rows[by_col])
+    if t_piv.size > piv.size:
+        piv, lead, rest, rows, cols, nrows, ncols = t_piv, t_lead, t_rest, cols, rows, ncols, nrows
+    k = len(piv)
+    if not rest.size:
+        # the pivot lines, sorted by leading index, are already in echelon form
+        return k
+    p = field.characteristic
+    # Exactness: every float64 product below is at most (p - 1)**2 and every
+    # sum has at most k terms, so with k·(p−1)² + p <= 2**53 all partial sums
+    # and the reductions in `_mod` are exact integers.  A matrix more than half
+    # full has few structural pivots, and each level of the recursion would
+    # peel off only those few at a fixed cost, so it is eliminated directly.
+    if not p or k * (p - 1) ** 2 + p > 2**53 or 2 * flat.size > a.size:
+        del flat, rows, cols, by_col  # free the coordinates before the elimination's peak
+        return len(_eliminate(np.asarray(a, field.dtype) if owned else np.array(a, field.dtype),
+                              field, full=False))
+    # number the pivot lines, then the rest; the pivot columns, then the others
+    row_at = np.empty(nrows, np.int64)
+    row_at[piv] = np.arange(k)
+    row_at[rest] = np.arange(k, k + rest.size)
+    live = np.zeros(ncols, bool)
+    live[cols] = True
+    live[lead] = False
+    other = np.flatnonzero(live)
+    col_at = np.empty(ncols, np.int64)
+    col_at[lead] = np.arange(k)
+    col_at[other] = np.arange(k, k + other.size)
+    schur = _schur_complement(np.take(a, flat).astype(np.float64), row_at[rows], col_at[cols],
+                              k, rest.size, other.size, p)
+    return k + _rank(schur, field, owned=True)
+
+
 def rank_of_rows(rows, ncols, field):
-    """Rank of a stack of coefficient rows (an array or a list of rows)."""
-    return len(_eliminate(field.array(rows, ncols), field, full=False))
+    """Rank of a stack of coefficient rows (an array or a list of rows).
+
+    `rows` is never modified.  An int64 array already reduced into [0, p) is
+    read in place; anything else goes through `field.array` first.  Over
+    GF(p) with k·(p−1)² + p <= 2⁵³, k the number of structural pivots, the
+    rank comes from those pivots and a float64 Schur complement.  Over QQ,
+    past the bound (always for GF(1073741789)) or on a matrix more than half
+    full, it comes from `_eliminate`, unless the structural pivots already
+    account for every nonzero line.
+    """
+    p = field.characteristic
+    if (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+            and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
+        return _rank(rows, field, owned=False)
+    return _rank(field.array(rows, ncols), field, owned=True)
 
 
 # ---------------------------------------------------------------------------

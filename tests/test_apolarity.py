@@ -7,7 +7,6 @@ from bettiforge import (
     Polynomial,
     annihilator,
     colon_ideal,
-    contract,
     dual_generator_of_colon,
     elementary_symmetric,
     elementary_symmetric_dual,

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,16 @@ from bettiforge import (
     field_from_spec,
 )
 from bettiforge.errors import PreconditionError
-from bettiforge.exactalg import Accumulator, RowBasis, rank_of_rows
+from bettiforge import exactalg
+from bettiforge.exactalg import (
+    DEFAULT_PRIME,
+    Accumulator,
+    RowBasis,
+    _eliminate,
+    _mod,
+    _sub_mod,
+    rank_of_rows,
+)
 from bettiforge.resolver import _kernel_row_basis
 
 FIELDS = (QQ, GF_DEFAULT, GF_PARANOIA)
@@ -240,3 +250,114 @@ def test_kernel_vectors_annihilate(rows):
                 for c in range(ncols):
                     total = field.add(total, field.mul(field.coerce(row[c]), field.coerce(v[c])))
                 assert field.is_zero(total)
+
+
+RANK_FIELDS = (QQ, PrimeField(2), PrimeField(3), GF_DEFAULT, GF_PARANOIA)
+
+
+def _eliminated_rank(rows, ncols, field):
+    return len(_eliminate(field.array(rows, ncols), field, full=False))
+
+
+def _echelon(rng, nrows, ncols, density):
+    """Rows with distinct leading columns, each led by a 1, in shuffled order."""
+    leads = np.sort(rng.choice(ncols, size=min(nrows, ncols), replace=False))
+    a = np.zeros((len(leads), ncols), dtype=np.int64)
+    for r, c in enumerate(leads):
+        a[r, c + 1:] = rng.integers(-4, 5, ncols - c - 1) * (rng.random(ncols - c - 1) < density)
+        a[r, c] = 1
+    return a[rng.permutation(len(leads))]
+
+
+@st.composite
+def branch_matrices(draw):
+    """Small integer matrices aimed at every branch of the structural rank:
+    empty and all-zero input, zero rows and columns, repeated leading columns,
+    an echelon block with no row left over, a block only the transpose sees
+    (every row leads at column 0), and a nonzero Schur complement."""
+    kind = draw(st.sampled_from(["sparse", "echelon", "columns", "schur"]))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.integers(-4, 5, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+    if kind == "sparse" or not nrows or not ncols:
+        return noise
+    block = _echelon(rng, nrows, ncols, max(density, 0.5))
+    if kind == "echelon":
+        return np.concatenate([block, np.zeros((2, ncols), dtype=np.int64)])
+    if kind == "columns":
+        side = min(nrows, ncols)
+        a = np.tril(rng.integers(-4, 5, (nrows, side)))
+        a[np.arange(side), np.arange(side)] = 1
+        a[:, 0] = 1
+        return a
+    mix = rng.integers(-2, 3, (nrows, len(block))) * (rng.random((nrows, len(block))) < 0.5)
+    return np.concatenate([block, mix @ block + noise])
+
+
+@settings(max_examples=150, deadline=None)
+@given(branch_matrices())
+def test_structural_rank_matches_elimination(a):
+    ncols = a.shape[1]
+    for field in RANK_FIELDS:
+        want = _eliminated_rank(a, ncols, field)
+        assert rank_of_rows(a.tolist(), ncols, field) == want
+        p = field.characteristic
+        if p:
+            reduced = field.array(a, ncols)
+            before = reduced.copy()
+            assert rank_of_rows(reduced, ncols, field) == want
+            assert np.array_equal(reduced, before)
+            # the same residues, written with negative entries and entries >= p
+            assert rank_of_rows(a + p * (np.arange(a.size).reshape(a.shape) % 3 - 1), ncols, field) == want
+
+
+def test_structural_rank_across_blocks():
+    # more than two solve blocks of pivots, rows mixing them, and noise that
+    # leaves a Schur complement of rank 20
+    rng = np.random.default_rng(11)
+    block = _echelon(rng, 300, 330, 0.03)
+    mix = rng.integers(-2, 3, (60, 300)) * (rng.random((60, 300)) < 0.03)
+    noise = np.zeros((60, 330), dtype=np.int64)
+    noise[:20] = rng.integers(-4, 5, (20, 330)) * (rng.random((20, 330)) < 0.05)
+    a = np.concatenate([block, mix @ block + noise])
+    for field in RANK_FIELDS[1:]:
+        assert rank_of_rows(a, 330, field) == _eliminated_rank(a, 330, field)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("an echelon block needs no elimination")
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_echelon_blocks_skip_elimination(monkeypatch, transpose):
+    # lower triangular: every row leads at column 0, every column at its own
+    # row; only the transposed view is an echelon block with no line left over
+    a = np.tril(np.arange(1, 37).reshape(6, 6))
+    if transpose:
+        a = a.T.copy()
+    monkeypatch.setattr(exactalg, "_eliminate", _raise)
+    for field in (QQ, GF_PARANOIA):
+        assert rank_of_rows(a, 6, field) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_sub_mod_returns_residues(nrows, inner, seed):
+    rng = np.random.default_rng(seed)
+    p = DEFAULT_PRIME
+    c = rng.integers(0, p, (nrows, 3))
+    a = rng.integers(0, p, (nrows, inner))
+    b = rng.integers(0, p, (inner, 3))
+    got = _sub_mod(c.astype(np.float64), a.astype(np.float64), b.astype(np.float64), p)
+    assert got.tolist() == ((c - a @ b) % p).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, DEFAULT_PRIME, 94906249]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(p - 2**53, 2**53 - p), min_size=1, max_size=8))))
+def test_mod_is_exact_up_to_the_bound(args):
+    # 94906249 is the largest prime with (p - 1)**2 + p <= 2**53
+    p, xs = args
+    xs += [p - 2**53, 2**53 - p, -p, p, 0]
+    assert _mod(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]

@@ -1,12 +1,12 @@
+import numpy as np
 import pytest
 
 from bettiforge import (
     GF_DEFAULT,
+    GF_PARANOIA,
     QQ,
     DegreeSequence,
-    GradedQuotient,
     Polynomial,
-    betti_from_quotient,
     betti_aci_odd,
     colon_ideal,
     gorenstein_linked_hilbert,
@@ -24,6 +24,7 @@ from bettiforge import (
     syzygies_in_degree,
 )
 from bettiforge.errors import NonArtinianError, PreconditionError
+from bettiforge import exactalg
 from bettiforge.exactalg import rank_of_rows
 from bettiforge.polyring import macaulay_columns, monomial_index, monomial_mul, power_ideal
 
@@ -280,3 +281,21 @@ def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
             counts[d] = counts.get(d, 0) + 1
         table = oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind)
         assert counts == table.column(1), (ds, kind)
+
+
+def test_float_and_exact_rank_kernels_agree_on_koszul_matrices(monkeypatch):
+    # n=4 cubes, e=4: over GF(65521) some Koszul ranks reach a nonzero float64
+    # Schur complement; GF(1073741789) takes `_eliminate`, QQ the Fractions
+    schur = []
+
+    def spy(a, field, owned):
+        if a.dtype == np.float64 and np.count_nonzero(a):
+            schur.append(a.shape)
+        return rank(a, field, owned)
+
+    rank = exactalg._rank
+    monkeypatch.setattr(exactalg, "_rank", spy)
+    ds = DegreeSequence(4, (3, 3, 3, 3), 4)
+    tables = [minimal_betti_oracle(powers_ideal(ds, f)) for f in (GF_DEFAULT, GF_PARANOIA, QQ)]
+    assert schur
+    assert tables[0] == tables[1] == tables[2]

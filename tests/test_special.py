@@ -12,9 +12,7 @@ from bettiforge import (
     colon_ideal,
     enumerate_point_set,
     esym_annihilator_generators,
-    format_polynomial,
     gorenstein_linked_hilbert,
-    ideal_slices,
     lattice_path_count,
     random_generic_level_spotcheck,
     sqfree_leading_set,
