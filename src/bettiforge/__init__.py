@@ -25,6 +25,7 @@ from .exactalg import (
 from .formulas import (
     BettiTable,
     betti_aci_odd,
+    betti_formula,
     betti_gorenstein_odd,
     betti_sum_formula,
     koszul_betti,

@@ -13,14 +13,9 @@ import os
 import sys
 
 from .apolarity import annihilator, lefschetz_check
-from .errors import BettiForgeError, ConsistencyError, ParityError, PreconditionError
+from .errors import BettiForgeError, ConsistencyError, PreconditionError
 from .exactalg import field_from_spec
-from .formulas import (
-    BettiTable,
-    betti_aci_odd,
-    betti_gorenstein_odd,
-    betti_sum_formula,
-)
+from .formulas import BettiTable, betti_formula
 from .hilbert import (
     DegreeSequence,
     ci_hilbert,
@@ -196,20 +191,12 @@ def _cmd_betti(args):
         print(emit_table(table, ds.nvars, fmt))
         return 0
     ds = _degree_sequence(args)
-    if args.mode == "aci":
-        table = betti_aci_odd(ds)
-        colon = False
-    elif args.mode == "gorenstein":
-        table = betti_gorenstein_odd(ds)
-        colon = True
-    else:
-        normalized, where = ds.with_square_last()
+    if args.mode == "sum" and 2 in ds.all_degrees():
+        where = ds.all_degrees().index(2)
         print(f"# quadric generator found at position {where + 1}", file=sys.stderr)
-        table = betti_sum_formula(ds, target=args.target)
-        colon = args.target == "gorenstein"
-        ds = normalized
+    table = betti_formula(ds, args.target)
     if args.verify:
-        oracle = _oracle_table(ds, field, colon)
+        oracle = _oracle_table(ds, field, args.target == "gorenstein")
         diff = _diff_tables(table, oracle)
         if diff:
             print(f"verify failed: {len(diff)} differing entries", file=sys.stderr)
@@ -328,10 +315,8 @@ def _cmd_check(args):
         print("equal" if ok else "NOT equal")
         return 0 if ok else 2
     # syzygy: every syzygy satisfies the property only at odd reduced sum t
-    normalized, _ = ds.with_square_last()
-    t = sum(d - 1 for d in normalized.degrees[:-1]) + normalized.require_ell() - 1
-    if t % 2 == 0:
-        raise ParityError(t)
+    normalized, _, reduced = ds.split_quadric()
+    reduced.require_odd()
     gens = power_ideal(normalized.degrees, normalized.ell_power, field)
     dmax = args.max_degree or 2 * max(ds.all_degrees()) + 2
     total = 0
@@ -398,16 +383,20 @@ def _full_parser():
     p = sub.add_parser("betti", help="graded Betti tables, closed form or oracle")
     modes = p.add_subparsers(dest="group", required=True)
 
-    pf = modes.add_parser("formula", help="closed-form tables")
+    pf = modes.add_parser("formula", help="closed-form tables, dispatched on the parity of "
+                                          "T = sum over all n+1 generators of (d_i - 1)")
     kinds = pf.add_subparsers(dest="mode", required=True)
+    helps = {"aci": "the ideal; odd T, or a square on any generator, ell^e included",
+             "gorenstein": "its link (x_i^d_i) : ell^e; odd T, or a square among the x_i^d_i",
+             "sum": "aci or gorenstein by --target; prints where the first square is"}
     for mode in ("aci", "gorenstein", "sum"):
-        q = kinds.add_parser(mode)
+        q = kinds.add_parser(mode, help=helps[mode])
         common(q)
         q.add_argument("--verify", action="store_true",
                        help="recompute through the resolution oracle and diff")
         if mode == "sum":
-            q.add_argument("--target", choices=("aci", "gorenstein"), default="aci")
-        q.set_defaults(func=_cmd_betti, mode=mode)
+            q.add_argument("--target", choices=("aci", "gorenstein"))
+        q.set_defaults(func=_cmd_betti, mode=mode, target="aci" if mode == "sum" else mode)
 
     po = modes.add_parser("oracle", help="brute-force resolution oracle")
     po.add_argument("--degrees", default=None)

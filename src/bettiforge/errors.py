@@ -28,9 +28,9 @@ class NonHomogeneousError(PreconditionError):
 class ParityError(PreconditionError):
     """A degree-parity precondition failed; message carries the failing sum."""
 
-    def __init__(self, t, what="sum of (d_i - 1)"):
+    def __init__(self, t):
         self.t = t
-        super().__init__(f"parity violation: {what} = {t} must be odd")
+        super().__init__(f"parity violation: sum of (d_i - 1) = {t} must be odd")
 
 
 class MinimalityError(PreconditionError):

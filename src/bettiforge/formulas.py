@@ -1,5 +1,10 @@
 """Closed-form graded Betti tables for powers of general linear forms.
 
+`betti_formula` covers (x_1^d1, .., x_n^dn, ell^e) when T = sum over all n+1
+of (d_i - 1) is odd or a generator is a square: it dispatches to the kernels
+`betti_aci_odd`, `betti_gorenstein_odd` and `betti_sum_formula`, which take
+their sequence literally.
+
 Table convention: entries are beta[(i, j)] with i the homological index and j
 the internal degree; when rendered, the table row is j - i.  The last-row
 solver uses the alternating-sum identity
@@ -10,9 +15,8 @@ returned.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError, MinimalityError, ParityError, PreconditionError
+from .errors import ConsistencyError, MinimalityError, PreconditionError
 from .hilbert import (
-    DegreeSequence,
     froberg_series,
     gorenstein_linked_hilbert,
     series_numerator,
@@ -141,9 +145,7 @@ def betti_aci_odd(ds):
     degrees; the socle-degree row is forced by the Hilbert series.
     """
     degrees = ds.all_degrees()
-    t = ds.total_sum
-    if t % 2 == 0:
-        raise ParityError(t)
+    ds.require_odd()
     if not ds.is_minimal:
         raise MinimalityError(
             f"ell power {ds.ell_power} exceeds {ds.variable_sum}; not minimally generated")
@@ -169,12 +171,7 @@ def betti_gorenstein_odd(ds):
     variable powers, rows s+1..2s follow by Gorenstein duality, and row s is
     forced by the Hilbert series.
     """
-    t = ds.total_sum
-    if t % 2 == 0:
-        raise ParityError(t)
-    if not ds.is_minimal:
-        raise MinimalityError(
-            f"ell power {ds.ell_power} exceeds {ds.variable_sum}; the colon ideal is the unit ideal")
+    ds.require_odd()
     n = ds.nvars
     socle = ds.linked_socle_degree
     s, rem = divmod(socle, 2)
@@ -202,26 +199,38 @@ def betti_sum_formula(ds, target="aci"):
     Writing bar-beta for the table of the reduced sequence (quadric removed,
     one variable fewer), every entry is
         beta_{i,j} = bar-beta_{i,j} + bar-beta_{i-1,j-2}.
+    The odd-parity kernel checks the reduced sequence's parity and minimality.
     """
     if target not in ("aci", "gorenstein"):
         raise PreconditionError(f"unknown target {target!r}")
     if ds.nvars < 2:
         raise PreconditionError("need at least two variables to drop the quadric")
-    normalized, _ = ds.with_square_last()
-    e = normalized.require_ell()
-    reduced = DegreeSequence(ds.nvars - 1, normalized.degrees[:-1], e)
-    t = reduced.total_sum
-    if t % 2 == 0:
-        raise ParityError(t, what="reduced sum of (d_i - 1)")
-    if not reduced.is_minimal:
-        raise MinimalityError(
-            f"ell power {e} exceeds {reduced.variable_sum}; not minimally generated")
+    _, _, reduced = ds.split_quadric()
     base = betti_aci_odd(reduced) if target == "aci" else betti_gorenstein_odd(reduced)
     table = BettiTable()
     for (i, j), v in base.items():
         table.add(i, j, v)
         table.add(i + 1, j + 2, v)
     return table
+
+
+def betti_formula(ds, target="aci"):
+    """The table of the ideal (target "aci") or of its Gorenstein link.
+
+    Odd T takes the odd-parity kernel, even T with a variable quadric the sum
+    formula; anything else raises ParityError.  The ACI target first applies
+    `DegreeSequence.aci_orientation`, so the square may be on any generator;
+    the link (x_i^d_i) : ell^e singles ell out, so that target keeps it.
+    """
+    if target == "aci":
+        ds = ds.aci_orientation()
+    if not ds.is_odd and 2 in ds.degrees:
+        return betti_sum_formula(ds, target)
+    if target == "aci":
+        return betti_aci_odd(ds)
+    if target == "gorenstein":
+        return betti_gorenstein_odd(ds)
+    raise PreconditionError(f"unknown target {target!r}")
 
 
 def predict_level(table, socle_degree):

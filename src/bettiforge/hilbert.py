@@ -15,8 +15,9 @@ from .errors import MinimalityError, ParityError, PreconditionError
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Degrees (d_1..d_n) for the variable powers, plus an optional power for the
-    sum-of-variables linear form."""
+    """Degrees (d_1..d_n) for the variable powers, plus an optional power e for
+    the sum-of-variables linear form ell.  Parity checks on T = total_sum and the
+    moves of a quadric generator (`split_quadric`, `aci_orientation`) live here."""
 
     nvars: int
     degrees: tuple
@@ -38,8 +39,16 @@ class DegreeSequence:
 
     @property
     def total_sum(self):
-        """sum (d_i - 1) over all n+1 generators."""
+        """T = sum (d_i - 1) over all n+1 generators."""
         return self.variable_sum + self.require_ell() - 1
+
+    @property
+    def is_odd(self):
+        return self.total_sum % 2 == 1
+
+    def require_odd(self):
+        if not self.is_odd:
+            raise ParityError(self.total_sum)
 
     def require_ell(self):
         if self.ell_power is None:
@@ -56,17 +65,28 @@ class DegreeSequence:
         """Socle degree of the linked Gorenstein quotient."""
         return self.variable_sum - self.require_ell()
 
-    def with_square_last(self):
-        """Move the first quadric among the variable degrees to the last slot.
-
-        Returns (normalized sequence, original position of that quadric).
-        """
+    def split_quadric(self):
+        """(normalized, position, reduced): the first quadric among the variable
+        powers moved to x_n, its 0-based position, and the (n-1)-variable sequence
+        without x_n^2, whose total_sum is the reduced t = T - 1."""
         try:
             k = self.degrees.index(2)
         except ValueError:
             raise PreconditionError("no quadric among the variable degrees") from None
-        reordered = self.degrees[:k] + self.degrees[k + 1:] + (2,)
-        return DegreeSequence(self.nvars, reordered, self.ell_power), k
+        rest = self.degrees[:k] + self.degrees[k + 1:]
+        return (DegreeSequence(self.nvars, rest + (2,), self.ell_power), k,
+                DegreeSequence(self.nvars - 1, rest, self.ell_power))
+
+    def aci_orientation(self):
+        """The same ideal with ell on the smallest degree (at even T, the smallest
+        besides one quadric kept back as x_n^2), the most lenient choice for
+        `is_minimal`.  Any n+1 general linear forms are projectively equivalent
+        (y_i = -x_i for i < n and y_n = ell give x_n = sum y_i)."""
+        rest = list(self.all_degrees())
+        last = [rest.pop(rest.index(2))] if not self.is_odd and 2 in rest else []
+        e = min(rest)
+        rest.remove(e)
+        return DegreeSequence(self.nvars, rest + last, e)
 
     def all_degrees(self):
         return self.degrees + (self.require_ell(),)

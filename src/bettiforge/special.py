@@ -10,12 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, prod
 
-from .errors import (
-    ConsistencyError,
-    ParityError,
-    PreconditionError,
-    RetryExhausted,
-)
+from .errors import ConsistencyError, PreconditionError, RetryExhausted
 from .exactalg import GF_DEFAULT, GF_PARANOIA, QQ
 from .formulas import syzygy_coefficient
 from .hilbert import froberg_series, multiplicity_of_truncation
@@ -50,16 +45,17 @@ def _symmetric_roots(d):
     return [(d - 1) - 2 * j for j in range(d)]
 
 
-def _family_polys(reduced_degrees, ell_power, nvars, field):
-    """The lifted forms: per variable a product of shifted linear factors, plus
-    the analogous product built on x_1 + ... + x_n."""
+def _family_polys(reduced, field):
+    """The lifted forms in n = reduced.nvars + 1 variables: per variable a product
+    of shifted linear factors, plus the analogous product built on x_1 + ... + x_n."""
+    nvars = reduced.nvars + 1
     xn = nvars - 1
     fs = []
-    for i, d in enumerate(reduced_degrees):
+    for i, d in enumerate(reduced.degrees):
         base = Polynomial.variable(i, nvars, field)
         fs.append(_root_product(base, _symmetric_roots(d), xn, nvars, field))
     ell = standard_linear_form(nvars, field)
-    f_ell = _root_product(ell, _symmetric_roots(ell_power), xn, nvars, field)
+    f_ell = _root_product(ell, _symmetric_roots(reduced.ell_power), xn, nvars, field)
     return fs, f_ell
 
 
@@ -85,14 +81,12 @@ def build_lifted_family(ds, field=None):
     ideal degree by degree through its socle.
     """
     field = GF_DEFAULT if field is None else field
-    normalized, _ = ds.with_square_last()
-    n = normalized.nvars
-    e = normalized.require_ell()
-    reduced = normalized.degrees[:-1]
-    fs, f_ell = _family_polys(reduced, e, n, field)
+    normalized, _, reduced = ds.split_quadric()
+    n, e = ds.nvars, reduced.require_ell()
+    fs, f_ell = _family_polys(reduced, field)
     xn2 = Polynomial.variable_power(n - 1, 2, n, field)
 
-    for i, d in enumerate(reduced):
+    for i, d in enumerate(reduced.degrees):
         expected = Polynomial.variable_power(i, d, n, field)
         c = syzygy_coefficient(d)
         if c and d >= 2:
@@ -116,7 +110,7 @@ def build_lifted_family(ds, field=None):
     for j in range(slices_i.bound + 1):
         if slices_i.dim(j) != lifted_plus.dim(j):
             raise ConsistencyError(f"lifted ideal + (x_n^2) differs in degree {j}")
-    return LiftedFamily(n, tuple(reduced), e, field, fs, f_ell)
+    return LiftedFamily(n, reduced.degrees, e, field, fs, f_ell)
 
 
 @dataclass
@@ -140,23 +134,18 @@ def enumerate_point_set(ds):
     parity of e - 1: at even t the set is empty and the count identity fails
     (for (1,2,2) with e=2 the reduction has length 2).
     """
-    normalized, _ = ds.with_square_last()
-    n = normalized.nvars
-    e = normalized.require_ell()
-    reduced = normalized.degrees[:-1]
-    t = sum(d - 1 for d in reduced) + e - 1
-    if t % 2 == 0:
-        raise ParityError(t)
-    last_values = set(_symmetric_roots(e))
+    _, _, reduced = ds.split_quadric()
+    reduced.require_odd()
+    last_values = set(_symmetric_roots(reduced.ell_power))
     points = []
-    for a in product(*[_symmetric_roots(d) for d in reduced]):
+    for a in product(*[_symmetric_roots(d) for d in reduced.degrees]):
         if 1 + sum(a) in last_values:
             points.append(a + (1,))
-    expected = multiplicity_of_truncation(tuple(reduced) + (e,))
+    expected = multiplicity_of_truncation(reduced.all_degrees())
     if len(points) != expected:
         raise ConsistencyError(
             f"point count {len(points)} != truncation coefficient {expected}")
-    fs, f_ell = _family_polys(reduced, e, n, QQ)
+    fs, f_ell = _family_polys(reduced, QQ)
     for pt in points:
         for f in fs + [f_ell]:
             if not QQ.is_zero(f.evaluate(pt)):
@@ -180,28 +169,23 @@ def check_xn_regular(ds, field=None):
     multiplication; its low-degree slices are also checked directly.
     """
     field = GF_DEFAULT if field is None else field
-    normalized, _ = ds.with_square_last()
-    n = normalized.nvars
-    e = normalized.require_ell()
-    reduced = normalized.degrees[:-1]
-    t = sum(d - 1 for d in reduced) + e - 1
-    if t % 2 == 0:
-        raise ParityError(t)
+    _, _, reduced = ds.split_quadric()
+    n, e, t = ds.nvars, reduced.require_ell(), reduced.total_sum
 
     points = enumerate_point_set(ds)
-    red_gens = power_ideal(reduced, e, QQ)
+    red_gens = power_ideal(reduced.degrees, e, QQ)
     red = quotient_hilbert(red_gens, n - 1, QQ)
     if not red.artinian or sum(red.values) != points.count:
         raise ConsistencyError("reduction multiplicity does not match the point count")
 
-    tau = sum(d - 1 for d in reduced)
+    tau = reduced.variable_sum
     grid_expected = quotient_hilbert(red_gens[:-1], n - 1, QQ)
-    if not grid_expected.artinian or sum(grid_expected.values) != prod(reduced):
+    if not grid_expected.artinian or sum(grid_expected.values) != prod(reduced.degrees):
         raise ConsistencyError("grid reduction must have multiplicity prod(d_i)")
 
-    fs, f_ell = _family_polys(reduced, e, n, field)
-    fs_q, _ = _family_polys(reduced, e, n, QQ)
-    for a in product(*[_symmetric_roots(d) for d in reduced]):
+    fs, f_ell = _family_polys(reduced, field)
+    fs_q, _ = _family_polys(reduced, QQ)
+    for a in product(*[_symmetric_roots(d) for d in reduced.degrees]):
         pt = a + (1,)
         for f in fs_q:
             if not QQ.is_zero(f.evaluate(pt)):
@@ -255,13 +239,10 @@ def check_colon_equals_plus(ds, field=None):
     is a per-degree dimension check.
     """
     field = GF_DEFAULT if field is None else field
-    normalized, _ = ds.with_square_last()
-    n = normalized.nvars
-    e = normalized.require_ell()
-    t = sum(d - 1 for d in normalized.degrees[:-1]) + e - 1
-    if t % 2 == 0:
-        raise ParityError(t)
-    *mono_gens, ell_pow = power_ideal(normalized.degrees, e, field)
+    normalized, _, reduced = ds.split_quadric()
+    reduced.require_odd()
+    n = ds.nvars
+    *mono_gens, ell_pow = power_ideal(normalized.degrees, normalized.ell_power, field)
     xn_poly = Polynomial.variable(n - 1, n, field)
 
     def colon_vs_plus(slices, plus_dims):
@@ -308,9 +289,8 @@ def check_syzygy_property(ds, relation):
     therefore belongs to the sweep that asserts the property for a whole
     syzygy basis (`bettiforge check syzygy`), not to this single-relation test.
     """
-    normalized, _ = ds.with_square_last()
-    n = normalized.nvars
-    e = normalized.require_ell()
+    normalized, _, _ = ds.split_quadric()
+    n, e = ds.nvars, normalized.require_ell()
     field = relation.components[0].field
     gens = power_ideal(normalized.degrees, e, field)
     if len(relation.components) != n + 1 or not relation.check(gens):

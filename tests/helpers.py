@@ -1,6 +1,7 @@
 """Shared builders for the test suite: power ideals, cached oracle runs, sweeps."""
 
 from functools import lru_cache
+from itertools import product
 
 from bettiforge import (
     GF_DEFAULT,
@@ -12,6 +13,7 @@ from bettiforge import (
     colon_ideal,
     minimal_betti_oracle,
     power_ideal,
+    socle_dims,
 )
 
 FIELDS = {"qq": QQ, "p": GF_DEFAULT, "P": GF_PARANOIA}
@@ -38,6 +40,12 @@ def oracle_table(nvars, degrees, ell, kind, field_key="p"):
     return betti_from_quotient(GradedQuotient(slices))
 
 
+@lru_cache(maxsize=None)
+def oracle_is_level(nvars, degrees, ell):
+    """The oracle's verdict on the power ideal: is its socle in a single degree?"""
+    return socle_dims(powers_ideal(DegreeSequence(nvars, degrees, ell), GF_DEFAULT)).is_level
+
+
 def sorted_multisets(values, size):
     """All nondecreasing tuples of the given size over `values`."""
     if size == 0:
@@ -62,7 +70,7 @@ def odd_parity_sweep(nvals, degree_values=(2, 3, 4), ell_values=(2, 3, 4)):
         for degs in sorted_multisets(degree_values, n):
             for e in ell_values:
                 ds = DegreeSequence(n, degs, e)
-                if ds.total_sum % 2 == 1 and ds.is_minimal:
+                if ds.is_odd and ds.is_minimal:
                     out.append(ds)
     return out
 
@@ -76,8 +84,24 @@ def quadric_sum_sweep(nvals, degree_values=(2, 3, 4), ell_values=(2, 3, 4)):
                 continue
             for e in ell_values:
                 ds = DegreeSequence(n, degs, e)
-                reduced_sum = ds.variable_sum - 1
-                t = reduced_sum + e - 1
-                if t % 2 == 1 and e <= reduced_sum:
+                _, _, reduced = ds.split_quadric()
+                if reduced.is_odd and reduced.is_minimal:
                     out.append(ds)
     return out
+
+
+def ordered_quadric_sweep(nvals, degree_values=(2, 3, 4)):
+    """Every ordered choice of the n+1 degrees with at least one quadric, in any
+    position: the last entry is the power of ell."""
+    return [DegreeSequence(n, degs[:-1], degs[-1])
+            for n in nvals for degs in product(degree_values, repeat=n + 1) if 2 in degs]
+
+
+def renamed_oracle_table(ds, kind):
+    """`oracle_table` of the sequence with its variable degrees sorted.
+
+    Renaming the variables fixes ell = x_1 + .. + x_n and permutes the variable
+    powers, so the table is that of the ideal as given, at one oracle run per
+    multiset of variable degrees.
+    """
+    return oracle_table(ds.nvars, tuple(sorted(ds.degrees)), ds.ell_power, kind)

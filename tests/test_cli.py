@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bettiforge.cli as cli
-from bettiforge import BettiTable, betti_aci_odd
+from bettiforge import BettiTable, betti_formula
 from bettiforge.cli import betti_from_json_dict, betti_to_json_dict, main
 
 
@@ -79,13 +79,13 @@ def test_cli_output_is_unchanged(argv, stdout, capsys):
 
 def test_verify_reports_every_differing_cell(monkeypatch, capsys):
     # (x1^2, x2^2, (x1 + x2)^2) has beta = {(0,0): 1, (1,2): 3, (2,3): 2}
-    def two_wrong_cells(ds):
+    def two_wrong_cells(ds, target):
         table = BettiTable({(2, 4): 1})
-        for (i, j), v in betti_aci_odd(ds).items():
+        for (i, j), v in betti_formula(ds, target).items():
             table.set(i, j, v + ((i, j) == (1, 2)))
         return table
 
-    monkeypatch.setattr(cli, "betti_aci_odd", two_wrong_cells)
+    monkeypatch.setattr(cli, "betti_formula", two_wrong_cells)
     argv = ["betti", "formula", "aci", "--degrees", "2,2", "--ell-power", "2", "--verify"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -93,6 +93,43 @@ def test_verify_reports_every_differing_cell(monkeypatch, capsys):
     assert err == ("verify failed: 2 differing entries\n"
                    "(1, 2): formula 4 oracle 3\n"
                    "(2, 4): formula 1 oracle 0\n")
+
+
+# (argv, twin): the same ideal, or the same table by the parity dispatch
+SAME_TABLE = [
+    (["aci", "--degrees", "4,4,4,4,2", "--ell-power", "4"],
+     ["sum", "--target", "aci", "--degrees", "4,4,4,4,2", "--ell-power", "4"]),
+    (["gorenstein", "--degrees", "4,4,4,4,2", "--ell-power", "4"],
+     ["sum", "--target", "gorenstein", "--degrees", "4,4,4,4,2", "--ell-power", "4"]),
+    (["sum", "--degrees", "3,3,4", "--ell-power", "2", "--verify"],
+     ["sum", "--degrees", "3,3,2", "--ell-power", "4"]),
+    (["aci", "--degrees", "2,2,2", "--ell-power", "9", "--verify"],
+     ["aci", "--degrees", "2,2,9", "--ell-power", "2"]),
+    (["sum", "--degrees", "3,3,2", "--ell-power", "3"],
+     ["aci", "--degrees", "3,3,2", "--ell-power", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv,twin", SAME_TABLE, ids=[" ".join(a[:3]) for a, _ in SAME_TABLE])
+def test_square_on_any_generator_or_parity_gets_a_table(argv, twin, capsys):
+    assert main(["betti", "formula"] + argv) == 0
+    out = capsys.readouterr().out
+    assert main(["betti", "formula"] + twin) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_sum_counts_ell_as_generator_n_plus_one(capsys):
+    assert main(["betti", "formula", "sum", "--degrees", "3,3,4", "--ell-power", "2"]) == 0
+    assert capsys.readouterr().err == "# quadric generator found at position 4\n"
+
+
+@pytest.mark.parametrize("argv,t", [
+    (["aci", "--degrees", "4,4,4,4", "--ell-power", "3"], 14),
+    (["gorenstein", "--degrees", "3,3,4", "--ell-power", "2"], 8),
+], ids=["aci-no-square", "gorenstein-square-on-ell"])
+def test_even_sum_without_a_usable_square_is_refused(argv, t, capsys):
+    assert main(["betti", "formula"] + argv) == 1
+    assert capsys.readouterr().err == f"error: parity violation: sum of (d_i - 1) = {t} must be odd\n"
 
 
 betti_tables = st.dictionaries(

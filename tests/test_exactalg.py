@@ -238,6 +238,31 @@ def test_every_definition_has_a_caller():
     assert dead == []
 
 
+def _unread_imports(tree):
+    """Names an import statement binds that no expression in the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_every_import_is_read():
+    # an import nothing reads misreports what a module or a test depends on;
+    # the package's __init__ binds names only to re-export them
+    src = Path(bettiforge.__file__).parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unread = [f"{path.name}: {hit}" for path in paths
+              for hit in _unread_imports(ast.parse(path.read_text()))]
+    assert len(paths) > 15 and unread == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrices)
 def test_kernel_vectors_annihilate(rows):

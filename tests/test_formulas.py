@@ -8,6 +8,7 @@ from bettiforge import (
     BettiTable,
     DegreeSequence,
     betti_aci_odd,
+    betti_formula,
     betti_gorenstein_odd,
     betti_sum_formula,
     froberg_series,
@@ -20,7 +21,14 @@ from bettiforge import (
 )
 from bettiforge.errors import MinimalityError, ParityError, PreconditionError
 
-from helpers import odd_parity_sweep, oracle_table, quadric_sum_sweep
+from helpers import (
+    odd_parity_sweep,
+    oracle_is_level,
+    oracle_table,
+    ordered_quadric_sweep,
+    quadric_sum_sweep,
+    renamed_oracle_table,
+)
 
 
 def brute_koszul(degrees):
@@ -97,7 +105,31 @@ def test_sum_formula_tables():
 def test_sum_formula_quadric_anywhere():
     a = betti_sum_formula(DegreeSequence(5, (2, 4, 4, 4, 4), 4), "aci")
     b = betti_sum_formula(DegreeSequence(5, (4, 4, 2, 4, 4), 4), "aci")
-    assert a == b
+    # the square on ell: the entry point moves it onto x_n
+    c = betti_formula(DegreeSequence(5, (4, 4, 4, 4, 4), 2), "aci")
+    assert a == b == c == BettiTable(RIGHT_ACI)
+
+
+def test_betti_formula_dispatches_on_parity():
+    # odd T: the odd-parity kernels; even T with a variable quadric: the sum formula
+    ds = DegreeSequence(4, (4, 4, 4, 4), 4)
+    assert betti_formula(ds, "aci") == betti_aci_odd(ds)
+    assert betti_formula(ds, "gorenstein") == betti_gorenstein_odd(ds)
+    ds = DegreeSequence(5, (4, 4, 4, 4, 2), 4)
+    assert betti_formula(ds, "aci") == betti_sum_formula(ds, "aci")
+    assert betti_formula(ds, "gorenstein") == betti_sum_formula(ds, "gorenstein")
+    # the kernels stay literal; the entry point moves ell to the smallest degree
+    with pytest.raises(MinimalityError):
+        betti_aci_odd(DegreeSequence(3, (2, 2, 2), 9))
+    assert betti_formula(DegreeSequence(3, (2, 2, 2), 9)) == koszul_betti((2, 2, 2))
+    assert betti_formula(DegreeSequence(1, (3,), 2)) == BettiTable({(0, 0): 1, (1, 2): 1})
+    # even T with no square, or (for the link) a square on ell alone
+    with pytest.raises(ParityError, match="= 14 must be odd"):
+        betti_formula(DegreeSequence(4, (4, 4, 4, 4), 3), "aci")
+    with pytest.raises(ParityError, match="= 8 must be odd"):
+        betti_formula(DegreeSequence(3, (3, 3, 4), 2), "gorenstein")
+    with pytest.raises(PreconditionError, match="unknown target"):
+        betti_formula(ds, "sum")
 
 
 def test_parity_and_minimality_errors():
@@ -175,3 +207,42 @@ def test_alternating_sums_match_series(args):
 def test_formula_matches_oracle_on_the_sweep(formula, kind, sweep):
     for ds in sweep([2, 3, 4]):
         assert formula(ds) == oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind), ds
+
+
+def test_aci_formula_matches_oracle_in_every_orientation():
+    # the square on any of the n+1 generators, ell included, at both parities
+    sweep = ordered_quadric_sweep([2, 3, 4])
+    assert len(sweep) == 295 and {ds.is_odd for ds in sweep} == {True, False}
+    for ds in sweep:
+        assert betti_formula(ds, "aci") == renamed_oracle_table(ds, "aci"), ds
+
+
+def test_gorenstein_formula_matches_oracle_with_a_variable_square():
+    sweep = [ds for ds in ordered_quadric_sweep([2, 3, 4]) if 2 in ds.degrees and ds.is_minimal]
+    assert {ds.is_odd for ds in sweep} == {True, False}
+    for ds in sweep:
+        assert betti_formula(ds, "gorenstein") == renamed_oracle_table(ds, "gorenstein"), ds
+
+
+def test_oracle_is_invariant_under_renaming_the_variables():
+    # what lets the two sweeps above run the oracle once per multiset of variable degrees
+    for ds in ordered_quadric_sweep([2, 3]):
+        typed = oracle_table(ds.nvars, ds.degrees, ds.ell_power, "aci")
+        assert typed == renamed_oracle_table(ds, "aci"), ds
+
+
+def test_every_quadric_ideal_is_level():
+    # the paper's corollary: an ideal of n+1 general powers with a square is level
+    for ds in ordered_quadric_sweep([2, 3, 4]):
+        table = betti_formula(ds, "aci")
+        level = oracle_is_level(ds.nvars, tuple(sorted(ds.degrees)), ds.ell_power)
+        assert predict_level(table, table.max_row) == level, ds
+        assert level, ds
+
+
+@pytest.mark.parametrize("sweep", [odd_parity_sweep, quadric_sum_sweep])
+def test_gorenstein_tables_are_self_dual(sweep):
+    for ds in sweep([2, 3, 4]):
+        n, socle = ds.nvars, ds.linked_socle_degree
+        assert betti_formula(ds, "gorenstein").is_self_dual(n, socle), ds
+        assert oracle_table(n, ds.degrees, ds.ell_power, "gorenstein").is_self_dual(n, socle), ds

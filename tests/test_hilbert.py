@@ -149,6 +149,17 @@ def test_multiplicity_rejects_even():
         multiplicity_of_truncation((2, 2))
 
 
+def test_aci_orientation_puts_ell_on_the_smallest_degree():
+    # odd T: ell takes the smallest of the n+1 degrees
+    assert DegreeSequence(3, (2, 2, 2), 9).aci_orientation() == DegreeSequence(3, (2, 2, 9), 2)
+    assert DegreeSequence(1, (3,), 4).aci_orientation() == DegreeSequence(1, (4,), 3)
+    # even T: one quadric stays back as x_n^2, ell takes the smallest other degree
+    assert DegreeSequence(3, (3, 3, 4), 2).aci_orientation() == DegreeSequence(3, (3, 4, 2), 3)
+    assert DegreeSequence(3, (4, 2, 2), 4).aci_orientation() == DegreeSequence(3, (4, 4, 2), 2)
+    # even T and no quadric: ell takes the smallest degree
+    assert DegreeSequence(2, (3, 4), 4).aci_orientation() == DegreeSequence(2, (4, 4), 3)
+
+
 def test_series_numerator():
     # (1 + 2T)(1 - T)^2 = 1 - 3T^2 + 2T^3
     assert series_numerator([1, 2], 2) == [1, 0, -3, 2]
@@ -160,9 +171,16 @@ def test_degree_sequence_validation():
     with pytest.raises(PreconditionError):
         DegreeSequence(2, (2, 2, 2), 1)
     ds = DegreeSequence(3, (3, 2, 4), 2)
-    normalized, where = ds.with_square_last()
-    assert normalized.degrees == (3, 4, 2) and where == 1
-    with pytest.raises(PreconditionError):
-        DegreeSequence(2, (3, 3), 1).with_square_last()
+    normalized, where, reduced = ds.split_quadric()
+    assert normalized == DegreeSequence(3, (3, 4, 2), 2) and where == 1
+    assert reduced == DegreeSequence(2, (3, 4), 2)
+    # dropping x_n^2 lowers T by one and flips the parity
+    assert (ds.total_sum, reduced.total_sum) == (7, 6)
+    ds.require_odd()
+    with pytest.raises(ParityError, match="= 6 must be odd"):
+        reduced.require_odd()
+    # a square on ell alone is not a variable quadric
+    with pytest.raises(PreconditionError, match="no quadric among the variable degrees"):
+        DegreeSequence(2, (3, 3), 2).split_quadric()
     with pytest.raises(PreconditionError):
         DegreeSequence(2, (3, 3)).require_ell()

@@ -91,7 +91,7 @@ def test_colon_equals_plus_small_cases():
 
 def test_syzygy_property_all_quadrics():
     ds = DegreeSequence(3, (2, 2, 2), 2)
-    gens = powers_ideal(ds.with_square_last()[0], GF_DEFAULT)
+    gens = powers_ideal(ds.split_quadric()[0], GF_DEFAULT)
     checked = 0
     for j in range(2, 7):
         for rel in syzygies_in_degree(gens, j):
@@ -109,7 +109,7 @@ def test_syzygy_property_all_quadrics():
 
 def test_syzygy_property_koszul_relation():
     ds = DegreeSequence(3, (3, 2, 2), 2)
-    normalized, _ = ds.with_square_last()
+    normalized, _, _ = ds.split_quadric()
     gens = powers_ideal(normalized, GF_DEFAULT)
     from bettiforge import RelationVector
 
@@ -126,7 +126,7 @@ def test_syzygy_property_fails_for_some_syzygy_at_even_t():
     # form a proper subspace, so this holds for any basis of the degree-4
     # syzygies, and the parity guard belongs to the sweep over a basis.
     ds = DegreeSequence(3, (3, 2, 2), 2)
-    gens = powers_ideal(ds.with_square_last()[0], GF_DEFAULT)
+    gens = powers_ideal(ds.split_quadric()[0], GF_DEFAULT)
     assert not all(check_syzygy_property(ds, rel) for rel in syzygies_in_degree(gens, 4))
 
 
