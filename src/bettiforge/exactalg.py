@@ -11,11 +11,13 @@ Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010).  Each
 nonzero row has a leading column; one row per distinct leading column, the
 sparsest, gives an echelon block of k pivots with no arithmetic, on the rows
 or on the columns, whichever gives more.  If no other nonzero line is left,
-the rank is k.  Otherwise, over GF(p) when k·(p−1)² + p <= 2**53, the other
-rows are reduced against that block exactly in float64 BLAS (delayed
-reduction, as in FFLAS-FFPACK) and rank = k + rank(S) for their Schur
-complement S.  QQ, primes past the bound (GF(1073741789) always) and matrices
-more than half full go to `_eliminate`.  The input is never modified.
+the rank is k.  A matrix more than half full goes to `_eliminate`.
+Otherwise the other rows are reduced against that block and
+rank = k + rank(S) for their Schur complement S, in every field.  Over GF(p)
+with k·(p−1)² + p <= 2**53, S is formed exactly in float64 BLAS (delayed
+reduction, as in FFLAS-FFPACK); over QQ and past the bound (GF(1073741789)
+always) it is formed in the field by `_eliminate` run over the k pivot
+columns only.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -242,7 +244,7 @@ def same_field(*fields):
 # the elimination kernel
 
 
-def _eliminate(a, field, full):
+def _eliminate(a, field, full, stop=None):
     """Row-reduce the field array `a` in place and return its pivot columns.
 
     Pivot choice is deterministic: columns left to right, lowest remaining
@@ -251,10 +253,11 @@ def _eliminate(a, field, full):
     form in the first rank rows; without it only the rows below are cleared,
     which is all the rank needs.  Updates touch only the pivot row's nonzero
     columns, which keeps sparse rows cheap and object arrays affordable.
+    With `stop`, only the first `stop` columns are pivoted on.
     """
     nrows, ncols = a.shape
     pivots = []
-    for c in range(ncols):
+    for c in range(ncols if stop is None else stop):
         r = len(pivots)
         if r == nrows:
             break
@@ -366,14 +369,27 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     return c
 
 
+def _exact_schur_complement(g, k, field):
+    """S = C - Y0 T^-1 B for the field array g = [[T, B], [Y0, C]], where T is
+    k x k and upper triangular with a nonzero diagonal; g is overwritten.
+
+    `_eliminate` over the first k columns pivots on T's diagonal in order: the
+    rows of T below a pivot are zero in its column, so only the Y0 rows are
+    cleared, and the trailing block is left holding S.
+    """
+    _eliminate(g, field, full=False, stop=k)
+    return g[k:, k:]
+
+
 def _rank(a, field, owned):
     """Rank of the field array `a`, which is only read unless `owned`.
 
     The pivots of a structural echelon block (`_structural_pivots` on the rows
     of `a` or on its columns, whichever gives more) count without arithmetic.
-    Over GF(p) the other lines go into the Schur complement of the pivot block
-    (`_schur_complement`, exact in float64), and rank = k + rank(S).  Other
-    fields, and dense matrices, are eliminated directly.
+    The other lines go into the Schur complement S of the pivot block, and
+    rank = k + rank(S).  S is formed in float64 BLAS over GF(p) where that is
+    exact (`_schur_complement`), else in the field (`_exact_schur_complement`).
+    Dense matrices are eliminated directly.
     """
     nrows, ncols = a.shape
     flat = np.flatnonzero(a.astype(bool))  # astype: 3x faster than != 0 on Fractions
@@ -383,35 +399,41 @@ def _rank(a, field, owned):
     piv, lead, rest = _structural_pivots(rows, cols)
     by_col = np.argsort(cols, kind="stable")
     t_piv, t_lead, t_rest = _structural_pivots(cols[by_col], rows[by_col])
+    lines = a
     if t_piv.size > piv.size:
         piv, lead, rest, rows, cols, nrows, ncols = t_piv, t_lead, t_rest, cols, rows, ncols, nrows
+        lines = a.T
     k = len(piv)
     if not rest.size:
         # the pivot lines, sorted by leading index, are already in echelon form
         return k
-    p = field.characteristic
-    # Exactness: every float64 product below is at most (p - 1)**2 and every
-    # sum has at most k terms, so with k·(p−1)² + p <= 2**53 all partial sums
-    # and the reductions in `_mod` are exact integers.  A matrix more than half
-    # full has few structural pivots, and each level of the recursion would
-    # peel off only those few at a fixed cost, so it is eliminated directly.
-    if not p or k * (p - 1) ** 2 + p > 2**53 or 2 * flat.size > a.size:
+    # A matrix more than half full has few structural pivots, and each level
+    # of the recursion would peel off only those few at a fixed cost, so it is
+    # eliminated directly.
+    if 2 * flat.size > a.size:
         del flat, rows, cols, by_col  # free the coordinates before the elimination's peak
         return len(_eliminate(np.asarray(a, field.dtype) if owned else np.array(a, field.dtype),
                               field, full=False))
     # number the pivot lines, then the rest; the pivot columns, then the others
-    row_at = np.empty(nrows, np.int64)
-    row_at[piv] = np.arange(k)
-    row_at[rest] = np.arange(k, k + rest.size)
     live = np.zeros(ncols, bool)
     live[cols] = True
     live[lead] = False
-    other = np.flatnonzero(live)
-    col_at = np.empty(ncols, np.int64)
-    col_at[lead] = np.arange(k)
-    col_at[other] = np.arange(k, k + other.size)
-    schur = _schur_complement(np.take(a, flat).astype(np.float64), row_at[rows], col_at[cols],
-                              k, rest.size, other.size, p)
+    row_order, col_order = np.concatenate([piv, rest]), np.concatenate([lead, np.flatnonzero(live)])
+    p = field.characteristic
+    # Exactness: every float64 product in `_schur_complement` is at most
+    # (p - 1)**2 and every sum has at most k terms, so with
+    # k·(p−1)² + p <= 2**53 all partial sums and the reductions in `_mod` are
+    # exact integers.
+    if p and k * (p - 1) ** 2 + p <= 2**53:
+        row_at = np.empty(nrows, np.int64)
+        row_at[row_order] = np.arange(row_order.size)
+        col_at = np.empty(ncols, np.int64)
+        col_at[col_order] = np.arange(col_order.size)
+        schur = _schur_complement(np.take(a, flat).astype(np.float64), row_at[rows], col_at[cols],
+                                  k, rest.size, col_order.size - k, p)
+    else:
+        # one gather in block order; rows then columns would hold two copies
+        schur = _exact_schur_complement(lines[np.ix_(row_order, col_order)], k, field)
     return k + _rank(schur, field, owned=True)
 
 
@@ -419,12 +441,12 @@ def rank_of_rows(rows, ncols, field):
     """Rank of a stack of coefficient rows (an array or a list of rows).
 
     `rows` is never modified.  An int64 array already reduced into [0, p) is
-    read in place; anything else goes through `field.array` first.  Over
-    GF(p) with k·(p−1)² + p <= 2⁵³, k the number of structural pivots, the
-    rank comes from those pivots and a float64 Schur complement.  Over QQ,
-    past the bound (always for GF(1073741789)) or on a matrix more than half
-    full, it comes from `_eliminate`, unless the structural pivots already
-    account for every nonzero line.
+    read in place; anything else goes through `field.array` first.  The rank
+    is k, the number of structural pivots, plus the rank of their Schur
+    complement: in float64 over GF(p) with k·(p−1)² + p <= 2⁵³, in the field
+    over QQ and past the bound (always for GF(1073741789)).  A matrix more
+    than half full comes from `_eliminate`, unless the structural pivots
+    already account for every nonzero line.
     """
     p = field.characteristic
     if (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2

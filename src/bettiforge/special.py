@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, prod
 
-from .errors import ConsistencyError, PreconditionError, RetryExhausted
+from .errors import ConsistencyError, MinimalityError, PreconditionError, RetryExhausted
 from .exactalg import GF_DEFAULT, GF_PARANOIA, QQ
 from .formulas import syzygy_coefficient
 from .hilbert import froberg_series, multiplicity_of_truncation
@@ -168,6 +168,10 @@ def check_xn_regular(ds, field=None):
     the colon quotient inherits regularity from it because it embeds by
     multiplication; its low-degree slices are also checked directly.
     """
+    if ds.nvars < 2:
+        # with n = 1, ell = x_1: at the even e parity allows, the lifted form of
+        # ell^e has the factor ell - x_1 = 0
+        raise PreconditionError("check regular needs n >= 2 variables")
     field = GF_DEFAULT if field is None else field
     _, _, reduced = ds.split_quadric()
     n, e, t = ds.nvars, reduced.require_ell(), reduced.total_sum
@@ -241,6 +245,9 @@ def check_colon_equals_plus(ds, field=None):
     field = GF_DEFAULT if field is None else field
     normalized, _, reduced = ds.split_quadric()
     reduced.require_odd()
+    if not ds.is_minimal:
+        raise MinimalityError(f"ell^{ds.ell_power} already lies in (x_i^d_i): e exceeds sum of "
+                              f"(d_i - 1) = {ds.variable_sum}, so the colon ideal is the unit ideal")
     n = ds.nvars
     *mono_gens, ell_pow = power_ideal(normalized.degrees, normalized.ell_power, field)
     xn_poly = Polynomial.variable(n - 1, n, field)

@@ -20,6 +20,20 @@ def test_check_syzygy_passes_at_odd_reduced_sum(capsys):
     assert capsys.readouterr().out.strip() == "all 36 syzygy basis elements up to degree 6 pass"
 
 
+@pytest.mark.parametrize("degrees,e,total", [("2,2", 3, 2), ("2,3", 4, 3)])
+def test_check_colon_plus_refuses_ell_power_inside_the_monomials(degrees, e, total, capsys):
+    assert main(["check", "colon-plus", "--degrees", degrees, "--ell-power", str(e)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ell^{e} already lies in (x_i^d_i): e exceeds sum of (d_i - 1) = {total}, "
+        "so the colon ideal is the unit ideal\n")
+
+
+@pytest.mark.parametrize("e", [2, 4])
+def test_check_regular_refuses_one_variable(e, capsys):
+    assert main(["check", "regular", "--degrees", "2", "--ell-power", str(e)]) == 1
+    assert capsys.readouterr().err == "error: check regular needs n >= 2 variables\n"
+
+
 E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
 ESYM_5_2 = """\
 x1^2

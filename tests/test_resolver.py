@@ -225,6 +225,15 @@ def test_prime_and_rational_oracles_agree():
             assert oracle_table(*args, "qq") == oracle_table(*args, "p") == oracle_table(*args, "P")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
+def test_prime_and_rational_oracles_agree_at_four_variables(kind):
+    # large enough that QQ and GF(1073741789) ranks recurse through exact Schur complements
+    for ds in odd_parity_sweep([4]):
+        args = (ds.nvars, ds.degrees, ds.ell_power, kind)
+        assert oracle_table(*args, "qq") == oracle_table(*args, "p") == oracle_table(*args, "P")
+
+
 def test_slices_beyond_bound_raise():
     slices = ideal_slices([vp(0, 2, 2)], max_degree=3)
     with pytest.raises(PreconditionError):
@@ -285,17 +294,26 @@ def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
 
 def test_float_and_exact_rank_kernels_agree_on_koszul_matrices(monkeypatch):
     # n=4 cubes, e=4: over GF(65521) some Koszul ranks reach a nonzero float64
-    # Schur complement; GF(1073741789) takes `_eliminate`, QQ the Fractions
-    schur = []
+    # Schur complement; over GF(1073741789), past the float64 bound, and over
+    # QQ some reach a nonzero Schur complement formed in the field
+    schur, exact = [], set()
 
     def spy(a, field, owned):
         if a.dtype == np.float64 and np.count_nonzero(a):
             schur.append(a.shape)
         return rank(a, field, owned)
 
-    rank = exactalg._rank
+    def exact_spy(g, k, field):
+        s = exact_schur(g, k, field)
+        if np.count_nonzero(s):
+            exact.add(field)
+        return s
+
+    rank, exact_schur = exactalg._rank, exactalg._exact_schur_complement
     monkeypatch.setattr(exactalg, "_rank", spy)
+    monkeypatch.setattr(exactalg, "_exact_schur_complement", exact_spy)
     ds = DegreeSequence(4, (3, 3, 3, 3), 4)
     tables = [minimal_betti_oracle(powers_ideal(ds, f)) for f in (GF_DEFAULT, GF_PARANOIA, QQ)]
     assert schur
+    assert exact == {GF_PARANOIA, QQ}
     assert tables[0] == tables[1] == tables[2]
