@@ -1,6 +1,11 @@
 """Command-line surface: parse requests, dispatch to the library, render Betti
 tables and series as text, JSON, or CSV.
 
+Commands are declared in one table, `COMMANDS` (words, handler, fixed values,
+arguments), with shared arguments once in `SHARED`. `main` builds a parser per
+call that registers every command word but gives arguments only to the
+command argv names.
+
 Exit codes: 0 success, 1 precondition/usage error, 2 internal-consistency
 failure (including --verify mismatches).
 """
@@ -120,24 +125,27 @@ def _parse_degrees(text):
 
 
 def _field(args):
-    spec = getattr(args, "field", None) or os.environ.get("BETTIFORGE_FIELD")
-    return field_from_spec(spec)
+    return field_from_spec(args.field or os.environ.get("BETTIFORGE_FIELD"))
 
 
 def _degree_sequence(args, need_ell=True):
     degrees = _parse_degrees(args.degrees)
-    ell = getattr(args, "ell_power", None)
-    if need_ell and ell is None:
+    if need_ell and args.ell_power is None:
         raise PreconditionError("--ell-power is required here")
-    return DegreeSequence(len(degrees), degrees, ell)
+    return DegreeSequence(len(degrees), degrees, args.ell_power)
+
+
+def _linked_ideal(ds, field):
+    """Slices of the link (x_i^d_i) : ell^e, refused when ell^e lies in (x_i^d_i)."""
+    ds.require_minimal()
+    *monomials, ell_power = power_ideal(ds.degrees, ds.ell_power, field)
+    return colon_ideal(monomials, ell_power)
 
 
 def _oracle_table(ds, field, colon):
-    gens = power_ideal(ds.degrees, ds.ell_power, field)
     if colon:
-        slices = colon_ideal(gens[:-1], gens[-1])
-        return betti_from_quotient(GradedQuotient(slices))
-    return minimal_betti_oracle(gens)
+        return betti_from_quotient(GradedQuotient(_linked_ideal(ds, field)))
+    return minimal_betti_oracle(power_ideal(ds.degrees, ds.ell_power, field))
 
 
 def _diff_tables(formula, oracle):
@@ -208,27 +216,31 @@ def _cmd_betti(args):
     return 0
 
 
-def _cmd_colon(args):
-    field = _field(args)
-    ds = _degree_sequence(args)
-    gens = power_ideal(ds.degrees, ds.ell_power, field)
-    if args.f:
-        f = parse_polynomial(args.f, nvars=ds.nvars, field=field, require_homogeneous=True)
-        slices = colon_ideal(gens, f)
-    else:
-        slices = colon_ideal(gens[:-1], gens[-1])
+def _print_ideal(slices, fmt):
+    """The Hilbert function up to its top degree, then the minimal generators."""
     series = slices.hilbert_values()
     top = max((j for j, v in enumerate(series) if v), default=0)
     gens_out = minimal_generators(slices)
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps({
             "hilbert": series[:top + 1],
             "generators": [format_polynomial(g) for g in gens_out],
         }))
     else:
-        print(render_series(series[:top + 1], args.format))
+        print(render_series(series[:top + 1], fmt))
         for g in gens_out:
             print(format_polynomial(g))
+
+
+def _cmd_colon(args):
+    field = _field(args)
+    ds = _degree_sequence(args)
+    if args.f:
+        f = parse_polynomial(args.f, nvars=ds.nvars, field=field, require_homogeneous=True)
+        slices = colon_ideal(power_ideal(ds.degrees, ds.ell_power, field), f)
+    else:
+        slices = _linked_ideal(ds, field)
+    _print_ideal(slices, args.format)
     return 0
 
 
@@ -236,19 +248,7 @@ def _cmd_annihilator(args):
     field = _field(args)
     form = parse_polynomial(args.form, nvars=args.nvars, field=field,
                             require_homogeneous=True)
-    slices = annihilator(form)
-    series = slices.hilbert_values()
-    top = max((j for j, v in enumerate(series) if v), default=0)
-    gens_out = minimal_generators(slices)
-    if args.format == "json":
-        print(json.dumps({
-            "hilbert": series[:top + 1],
-            "generators": [format_polynomial(g) for g in gens_out],
-        }))
-    else:
-        print(render_series(series[:top + 1], args.format))
-        for g in gens_out:
-            print(format_polynomial(g))
+    _print_ideal(annihilator(form), args.format)
     return 0
 
 
@@ -269,11 +269,10 @@ def _cmd_esym(args):
 def _cmd_lefschetz(args):
     field = _field(args)
     ds = _degree_sequence(args, need_ell=args.colon or args.ell_power is not None)
-    gens = power_ideal(ds.degrees, ds.ell_power, field)
     if args.colon:
-        source = colon_ideal(gens[:-1], gens[-1])
+        source = _linked_ideal(ds, field)
     else:
-        source = gens
+        source = power_ideal(ds.degrees, ds.ell_power, field)
     ell = None
     if args.ell:
         ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field,
@@ -331,14 +330,107 @@ def _cmd_check(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
+
+
+SHARED = {
+    "--degrees": {"required": True, "help": "comma-separated variable powers d1,..,dn"},
+    "--ell-power": {"type": int, "help": "power of the linear form x1+..+xn"},
+    "--field": {"help": "rational | prime:p | p (default GF(65521); env BETTIFORGE_FIELD)"},
+    "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+    "--nvars": {"type": int},
+}
+# the arguments of a request on (x_1^d_1, .., x_n^d_n, ell^e)
+IDEAL = ("--degrees", "--ell-power", "--field", "--format")
+BARE_FIELD = ("--field", {"help": None})
+VERIFY = ("--verify", {"action": "store_true",
+                       "help": "recompute through the resolution oracle and diff"})
+
+# the words that take a subcommand: the dest it is stored in, and the word's help line
+GROUPS = {
+    (): ("command", None),
+    ("betti",): ("group", "graded Betti tables, closed form or oracle"),
+    ("betti", "formula"): ("mode", "closed-form tables, dispatched on the parity of "
+                                   "T = sum over all n+1 generators of (d_i - 1)"),
+    ("check",): ("kind", "structural verifications"),
+}
+
+# One row per command: its words, help line, handler, set_defaults beyond the
+# handler (a GROUPS dest already holds the word), and its arguments in help
+# order, each a SHARED name or (name, add_argument keywords over SHARED's).
+COMMANDS = (
+    (("hilbert",), "Hilbert series of the standard quotients", _cmd_hilbert, {},
+     (("kind", {"choices": ("ci", "froberg", "linked")}),
+      "--degrees", "--ell-power", "--format", "--nvars")),
+    (("betti", "formula", "aci"),
+     "the ideal; odd T, or a square on any generator, ell^e included",
+     _cmd_betti, {"target": "aci"}, IDEAL + (VERIFY,)),
+    (("betti", "formula", "gorenstein"),
+     "its link (x_i^d_i) : ell^e; odd T, or a square among the x_i^d_i",
+     _cmd_betti, {"target": "gorenstein"}, IDEAL + (VERIFY,)),
+    (("betti", "formula", "sum"),
+     "aci or gorenstein by --target; prints where the first square is",
+     _cmd_betti, {"target": "aci"},
+     IDEAL + (VERIFY, ("--target", {"choices": ("aci", "gorenstein")}))),
+    (("betti", "oracle"), "brute-force resolution oracle", _cmd_betti, {"mode": "oracle"},
+     (("--degrees", {"required": False, "help": None}), ("--ell-power", {"help": None}),
+      ("--gens", {"help": "semicolon-separated homogeneous polynomials"}), "--nvars",
+      ("--colon", {"action": "store_true", "help": "resolve the linked colon quotient instead"}),
+      BARE_FIELD, "--format")),
+    (("colon",), "the linked colon ideal: Hilbert function and generators", _cmd_colon, {},
+     IDEAL + (("--f", {"help": "colon by this polynomial instead of ell^e"}),)),
+    (("annihilator",), "apolar ideal of a dual form", _cmd_annihilator, {},
+     (("--form", {"required": True}), "--nvars", BARE_FIELD, "--format")),
+    (("esym",), "annihilator of an elementary symmetric polynomial", _cmd_esym, {},
+     (("kind", {"choices": ("gens", "count")}), ("--nvars", {"required": True}),
+      ("--d", {"type": int, "required": True}), BARE_FIELD, "--format")),
+    (("lefschetz",), "weak/strong Lefschetz rank check", _cmd_lefschetz, {},
+     IDEAL + (("--colon", {"action": "store_true"}),
+              ("--mode", {"choices": ("slp", "wlp"), "default": "slp"}),
+              ("--ell", {"help": "candidate linear form (default x1+..+xn)"}))),
+    (("check", "syzygy"), None, _cmd_check, {}, IDEAL + (("--max-degree", {"type": int}),)),
+    *((("check", kind), None, _cmd_check, {}, IDEAL)
+      for kind in ("point-set", "regular", "colon-plus")),
+    (("check", "generic-level"), None, _cmd_check, {},
+     (("--nvars", {"required": True}),
+      ("--degrees", {"help": "n+1 form degrees, one equal to 2"}),
+      ("--seed", {"type": int, "required": True}), ("--draws", {"type": int, "default": 1}),
+      BARE_FIELD)),
+)
+
+
+def _parser(argv):
+    """Every command word, with arguments only on the command argv names.
+
+    The words before a command take no option with a value, so argv's leading
+    non-option tokens are its command words.
+    """
+    tokens = tuple(token for token in argv if not token.startswith("-"))
+    parser = argparse.ArgumentParser(
+        prog="bettiforge",
+        description="Exact Betti tables, Hilbert series and inverse systems for "
+                    "ideals generated by powers of general linear forms.")
+    subcommands = {(): parser.add_subparsers(dest=GROUPS[()][0], required=True)}
+    for words, line, func, fixed, args in COMMANDS:
+        for k in range(1, len(words)):
+            group = words[:k]
+            if group not in subcommands:
+                dest, group_line = GROUPS[group]
+                sub = subcommands[group[:-1]].add_parser(group[-1], help=group_line)
+                subcommands[group] = sub.add_subparsers(dest=dest, required=True)
+        leaf = subcommands[words[:-1]].add_parser(words[-1], **({"help": line} if line else {}))
+        if tokens[:len(words)] == words:
+            for arg in args:
+                name, own = (arg, {}) if isinstance(arg, str) else arg
+                leaf.add_argument(name, **{**SHARED.get(name, {}), **own})
+            leaf.set_defaults(func=func, **fixed)
+    return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _full_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
@@ -352,108 +444,6 @@ def main(argv=None):
     except BettiForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _full_parser():
-    parser = argparse.ArgumentParser(
-        prog="bettiforge",
-        description="Exact Betti tables, Hilbert series and inverse systems for "
-                    "ideals generated by powers of general linear forms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, degrees=True, ell=True, fmt=True, field=True):
-        if degrees:
-            p.add_argument("--degrees", required=True,
-                           help="comma-separated variable powers d1,..,dn")
-        if ell:
-            p.add_argument("--ell-power", type=int, default=None,
-                           help="power of the linear form x1+..+xn")
-        if field:
-            p.add_argument("--field", default=None,
-                           help="rational | prime:p | p (default GF(65521); env BETTIFORGE_FIELD)")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("hilbert", help="Hilbert series of the standard quotients")
-    p.add_argument("kind", choices=("ci", "froberg", "linked"))
-    common(p, field=False)
-    p.add_argument("--nvars", type=int, default=None)
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("betti", help="graded Betti tables, closed form or oracle")
-    modes = p.add_subparsers(dest="group", required=True)
-
-    pf = modes.add_parser("formula", help="closed-form tables, dispatched on the parity of "
-                                          "T = sum over all n+1 generators of (d_i - 1)")
-    kinds = pf.add_subparsers(dest="mode", required=True)
-    helps = {"aci": "the ideal; odd T, or a square on any generator, ell^e included",
-             "gorenstein": "its link (x_i^d_i) : ell^e; odd T, or a square among the x_i^d_i",
-             "sum": "aci or gorenstein by --target; prints where the first square is"}
-    for mode in ("aci", "gorenstein", "sum"):
-        q = kinds.add_parser(mode, help=helps[mode])
-        common(q)
-        q.add_argument("--verify", action="store_true",
-                       help="recompute through the resolution oracle and diff")
-        if mode == "sum":
-            q.add_argument("--target", choices=("aci", "gorenstein"))
-        q.set_defaults(func=_cmd_betti, mode=mode, target="aci" if mode == "sum" else mode)
-
-    po = modes.add_parser("oracle", help="brute-force resolution oracle")
-    po.add_argument("--degrees", default=None)
-    po.add_argument("--ell-power", type=int, default=None)
-    po.add_argument("--gens", default=None,
-                    help="semicolon-separated homogeneous polynomials")
-    po.add_argument("--nvars", type=int, default=None)
-    po.add_argument("--colon", action="store_true",
-                    help="resolve the linked colon quotient instead")
-    po.add_argument("--field", default=None)
-    po.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    po.set_defaults(func=_cmd_betti, mode="oracle", verify=False)
-
-    p = sub.add_parser("colon", help="the linked colon ideal: Hilbert function and generators")
-    common(p)
-    p.add_argument("--f", default=None, help="colon by this polynomial instead of ell^e")
-    p.set_defaults(func=_cmd_colon)
-
-    p = sub.add_parser("annihilator", help="apolar ideal of a dual form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--nvars", type=int, default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=_cmd_annihilator)
-
-    p = sub.add_parser("esym", help="annihilator of an elementary symmetric polynomial")
-    p.add_argument("kind", choices=("gens", "count"))
-    p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--field", default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=_cmd_esym)
-
-    p = sub.add_parser("lefschetz", help="weak/strong Lefschetz rank check")
-    common(p)
-    p.add_argument("--colon", action="store_true")
-    p.add_argument("--mode", choices=("slp", "wlp"), default="slp")
-    p.add_argument("--ell", default=None, help="candidate linear form (default x1+..+xn)")
-    p.set_defaults(func=_cmd_lefschetz)
-
-    p = sub.add_parser("check", help="structural verifications")
-    kinds = p.add_subparsers(dest="kind", required=True)
-    for kind in ("syzygy", "point-set", "regular", "colon-plus"):
-        q = kinds.add_parser(kind)
-        common(q)
-        if kind == "syzygy":
-            q.add_argument("--max-degree", type=int, default=None)
-        q.set_defaults(func=_cmd_check, kind=kind)
-    q = kinds.add_parser("generic-level")
-    q.add_argument("--nvars", type=int, required=True)
-    q.add_argument("--degrees", required=True, help="n+1 form degrees, one equal to 2")
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--draws", type=int, default=1)
-    q.add_argument("--field", default=None)
-    q.set_defaults(func=_cmd_check, kind="generic-level")
-
-    return parser
 
 
 if __name__ == "__main__":

@@ -60,6 +60,12 @@ class DegreeSequence:
         """The arithmetic bound: ell^e stays outside the monomial complete intersection."""
         return self.require_ell() <= self.variable_sum
 
+    def require_minimal(self):
+        """Refuse an ell^e inside (x_i^d_i), whose link is the unit ideal."""
+        if not self.is_minimal:
+            raise MinimalityError(f"ell power {self.ell_power} exceeds {self.variable_sum}: "
+                                  "the colon ideal is the unit ideal")
+
     @property
     def linked_socle_degree(self):
         """Socle degree of the linked Gorenstein quotient."""
@@ -153,10 +159,7 @@ def gorenstein_linked_hilbert(ds):
     Low half copied from the complete-intersection series, completed by symmetry;
     length is (socle degree + 1) with socle degree sum(d_i - 1) - e.
     """
-    e = ds.require_ell()
-    if not ds.is_minimal:
-        raise MinimalityError(
-            f"ell power {e} exceeds {ds.variable_sum}: the colon ideal is the unit ideal")
+    ds.require_minimal()
     socle = ds.linked_socle_degree
     ci = ci_hilbert(ds.degrees)
     out = [0] * (socle + 1)

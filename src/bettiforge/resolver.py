@@ -311,10 +311,10 @@ class GradedQuotient:
         return self.products_class_matrix(g, j, self.slices.bases[j].support).T.copy()
 
 
-def quotient_model(gens_or_slices, nvars=None, field=None, max_degree=None):
+def quotient_model(gens_or_slices, nvars=None, field=None):
     if isinstance(gens_or_slices, GradedIdealSlices):
         return GradedQuotient(gens_or_slices)
-    return GradedQuotient(ideal_slices(gens_or_slices, nvars, field, max_degree))
+    return GradedQuotient(ideal_slices(gens_or_slices, nvars, field))
 
 
 # ---------------------------------------------------------------------------
@@ -392,32 +392,22 @@ def _kernel_row_basis(matrix_rows, ncols, field):
     return RowBasis(ncols, field, reducer.support, reducer.pivots, field.reduce(-reducer.tails.T))
 
 
-def colon_ideal(source, f, max_degree=None, nvars=None, field=None):
-    """Degreewise (J : f): the kernel of multiply-by-f into the quotient by J.
+def colon_ideal(gens, f):
+    """Degreewise ((gens) : f): the kernel of multiply-by-f into the quotient.
 
-    `source` is a generator list or precomputed slices of J; slices must reach
-    one degree past where the colon becomes the whole ring.
+    The generators must span an Artinian ideal; the colon's slices reach one
+    degree past where it becomes the whole ring.
     """
     if f.is_zero():
         raise PreconditionError("cannot colon by the zero polynomial")
     df = f.homogeneous_degree()
-    if isinstance(source, GradedIdealSlices):
-        slices = source
-    else:
-        gens = list(source)
-        nvars, field = _infer_ring(gens, nvars, field)
-        if max_degree is None:
-            bound = default_artinian_bound(gens) if len(gens) >= nvars else None
-            if bound is None:
-                raise PreconditionError("non-Artinian source needs an explicit max_degree")
-        else:
-            bound = max_degree + df
-        slices = ideal_slices(gens, nvars, field, bound)
-    nvars, field = slices.nvars, slices.field
+    gens = list(gens)
+    nvars, field = _infer_ring(gens, f.nvars, f.field)
+    if len(gens) < nvars:
+        raise PreconditionError("non-Artinian source: fewer generators than variables")
+    slices = ideal_slices(gens, nvars, field)
     quot = GradedQuotient(slices)
-    if max_degree is None:
-        t_j = slices.socle_degree
-        max_degree = max(0, t_j - df + 1)
+    max_degree = max(0, slices.socle_degree - df + 1)
     if max_degree + df > slices.bound:
         raise PreconditionError("source slices do not reach max_degree + deg f")
     bases = {}

@@ -195,8 +195,8 @@ def check_xn_regular(ds, field=None):
             if not QQ.is_zero(f.evaluate(pt)):
                 raise ConsistencyError("grid point misses the product forms")
 
-    depth = tau + 2
-    slices_j = ideal_slices(fs, n, field, max_degree=depth)
+    bound = max((t - 1) // 2, tau) + 1
+    slices_j = ideal_slices(fs, n, field, max_degree=max(tau + 2, bound))
     hf_j = slices_j.hilbert_values()
     grid_vals = list(grid_expected.values) + [0] * (tau + 2)
     for j in range(tau + 2):
@@ -219,7 +219,6 @@ def check_xn_regular(ds, field=None):
                 rank_cache[key] = rank_of_rows(mat, h, field) if h else 0
         return rank_cache[key]
 
-    bound = max((t - 1) // 2, tau) + 1
     red_vals = list(red.values) + [0] * (bound + 1)
     hf_i = [hf_j[j] - image_rank(f_ell, j - e) for j in range(bound + 1)]
     for j in range(bound + 1):

@@ -34,6 +34,55 @@ def test_check_regular_refuses_one_variable(e, capsys):
     assert capsys.readouterr().err == "error: check regular needs n >= 2 variables\n"
 
 
+@pytest.mark.parametrize("degrees,e", [("2,2", 7), ("1,2", 6)])
+def test_check_regular_with_ell_power_far_past_the_monomials(degrees, e, capsys):
+    assert main(["check", "regular", "--degrees", degrees, "--ell-power", str(e)]) == 0
+    assert capsys.readouterr().out == "regular\n"
+
+
+LINKED_COMMANDS = [["betti", "oracle", "--colon"], ["colon"], ["lefschetz", "--colon"]]
+
+
+@pytest.mark.parametrize("e", [3, 5])
+@pytest.mark.parametrize("words", LINKED_COMMANDS, ids=" ".join)
+def test_linked_ideal_refuses_ell_power_inside_the_monomials(words, e, capsys):
+    assert main(words + ["--degrees", "2,2", "--ell-power", str(e)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ell power {e} exceeds 2: the colon ideal is the unit ideal\n"
+
+
+@pytest.mark.parametrize("words", [c[0] for c in cli.COMMANDS], ids=" ".join)
+def test_every_command_has_help(words, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(words) + ["-h"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: bettiforge {' '.join(words)} [-h]")
+
+
+@pytest.mark.parametrize("argv,error", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["colon", "--degrees", "2,2", "--ell-power", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+], ids=["none", "unknown", "unknown-option"])
+def test_usage_errors_show_the_top_level_usage(argv, error, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bettiforge [-h]")
+    assert "{hilbert,betti,colon,annihilator,esym,lefschetz,check} ..." in err
+    assert f"bettiforge: error: {error}" in err
+
+
+def test_only_the_named_command_gets_arguments():
+    argv = ["colon", "--degrees", "2,2", "--ell-power", "2"]
+    parser = cli._parser(argv)
+    assert parser.parse_args(argv).degrees == "2,2"
+    args, unknown = parser.parse_known_args(["hilbert", "--degrees", "2,2"])
+    assert (args.command, unknown) == ("hilbert", ["--degrees", "2,2"])
+    assert not hasattr(args, "degrees")
+
+
 E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
 ESYM_5_2 = """\
 x1^2

@@ -117,6 +117,12 @@ def test_colon_by_unit_is_identity():
             assert col.basis(j).contains(row)
 
 
+@pytest.mark.parametrize("gens", [[], [vp(0, 2, 2)]], ids=["none", "one"])
+def test_colon_refuses_fewer_generators_than_variables(gens):
+    with pytest.raises(PreconditionError, match="^non-Artinian source: fewer generators"):
+        colon_ideal(gens, ell_power(2, 2))
+
+
 def test_colon_squares_by_product():
     col = colon_ideal([vp(0, 2, 2), vp(1, 2, 2)], Polynomial.monomial((1, 1), QQ))
     assert col.hilbert_values()[:2] == [1, 0]  # the maximal ideal
