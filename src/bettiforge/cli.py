@@ -342,7 +342,6 @@ SHARED = {
 }
 # the arguments of a request on (x_1^d_1, .., x_n^d_n, ell^e)
 IDEAL = ("--degrees", "--ell-power", "--field", "--format")
-BARE_FIELD = ("--field", {"help": None})
 VERIFY = ("--verify", {"action": "store_true",
                        "help": "recompute through the resolution oracle and diff"})
 
@@ -373,17 +372,17 @@ COMMANDS = (
      _cmd_betti, {"target": "aci"},
      IDEAL + (VERIFY, ("--target", {"choices": ("aci", "gorenstein")}))),
     (("betti", "oracle"), "brute-force resolution oracle", _cmd_betti, {"mode": "oracle"},
-     (("--degrees", {"required": False, "help": None}), ("--ell-power", {"help": None}),
+     (("--degrees", {"required": False}), "--ell-power",
       ("--gens", {"help": "semicolon-separated homogeneous polynomials"}), "--nvars",
       ("--colon", {"action": "store_true", "help": "resolve the linked colon quotient instead"}),
-      BARE_FIELD, "--format")),
+      "--field", "--format")),
     (("colon",), "the linked colon ideal: Hilbert function and generators", _cmd_colon, {},
      IDEAL + (("--f", {"help": "colon by this polynomial instead of ell^e"}),)),
     (("annihilator",), "apolar ideal of a dual form", _cmd_annihilator, {},
-     (("--form", {"required": True}), "--nvars", BARE_FIELD, "--format")),
+     (("--form", {"required": True}), "--nvars", "--field", "--format")),
     (("esym",), "annihilator of an elementary symmetric polynomial", _cmd_esym, {},
      (("kind", {"choices": ("gens", "count")}), ("--nvars", {"required": True}),
-      ("--d", {"type": int, "required": True}), BARE_FIELD, "--format")),
+      ("--d", {"type": int, "required": True}), "--field", "--format")),
     (("lefschetz",), "weak/strong Lefschetz rank check", _cmd_lefschetz, {},
      IDEAL + (("--colon", {"action": "store_true"}),
               ("--mode", {"choices": ("slp", "wlp"), "default": "slp"}),
@@ -395,7 +394,7 @@ COMMANDS = (
      (("--nvars", {"required": True}),
       ("--degrees", {"help": "n+1 form degrees, one equal to 2"}),
       ("--seed", {"type": int, "required": True}), ("--draws", {"type": int, "default": 1}),
-      BARE_FIELD)),
+      "--field")),
 )
 
 

@@ -1,11 +1,14 @@
 """Exact coefficient fields and the exact linear algebra everything else rides on.
 
-A field object fixes how its elements are stored and supplies the few array
-operations the kernels need (`zeros`, `array`, `reduce`, `inv`, `sub_matmul`,
-`safe_terms`).  GF(p), p < 2**31 prime, keeps residues in [0, p) in int64
-arrays, so every product fits a 64-bit intermediate; QQ keeps normalized
-`fractions.Fraction` entries in object arrays.  One elimination routine,
-`_eliminate`, serves both fields, and every structure here is built on it.
+Field elements are plain numbers: an int in [0, p) for GF(p), a
+`fractions.Fraction` for QQ, so Python's own operators do the scalar
+arithmetic.  A field object supplies only `coerce` (a number into that form)
+and `inv` as scalar operations, next to the few array operations the kernels
+need (`zeros`, `array`, `reduce`, `sub_matmul`, `safe_terms`).  GF(p),
+p < 2**31 prime, keeps residues in [0, p) in int64 arrays, so every product
+fits a 64-bit intermediate; QQ keeps normalized Fraction entries in object
+arrays.  One elimination routine, `_eliminate`, serves both fields, and every
+structure here is built on it.
 
 Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010).  Each
 nonzero row has a leading column; one row per distinct leading column, the
@@ -97,25 +100,10 @@ class RationalField(_ArrayField):
     def coerce(self, x):
         return Fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def array(self, rows, ncols):
         """A fresh len(rows) x ncols array of `rows`, every entry a Fraction."""
@@ -169,26 +157,11 @@ class PrimeField(_ArrayField):
             return num * pow(den, -1, self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def array(self, rows, ncols):
         """A fresh len(rows) x ncols int64 array of `rows` reduced into [0, p)."""

@@ -5,8 +5,13 @@ lexicographic with x1 > x2 > ... > xn; within one degree, bases are listed in
 decreasing order (x1^d first, xn^d last), and all matrix rows/columns follow
 that listing so kernels and certificates are reproducible.
 
-Macaulay matrices are plain field arrays (see `exactalg`), so
-`rank_of_rows` and `RowBasis` take them as they are.
+Coefficients are the field's plain numbers (ints in [0, p) or Fractions, see
+`exactalg`).  `Polynomial.__init__` is the one place they are normalized: it
+coerces every value into the field and drops zeros, so the arithmetic below
+adds up raw Python products and hands them to the constructor.
+
+Macaulay matrices are plain field arrays, so `rank_of_rows` and `RowBasis`
+take them as they are.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -129,7 +134,7 @@ class Polynomial:
         if coeffs:
             for mono, val in coeffs.items():
                 val = field.coerce(val)
-                if not field.is_zero(val):
+                if val:
                     if len(mono) != nvars:
                         raise DimensionMismatchError("exponent tuple length != nvars")
                     clean[tuple(mono)] = val
@@ -201,43 +206,28 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_ring(other)
-        fld = self.field
         out = dict(self.coeffs)
         for m, v in other.coeffs.items():
-            s = fld.add(out.get(m, fld.zero), v)
-            if fld.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.nvars, fld, out)
+            out[m] = out.get(m, 0) + v
+        return Polynomial(self.nvars, self.field, out)
 
     def __neg__(self):
-        fld = self.field
-        return Polynomial(self.nvars, fld, {m: fld.neg(v) for m, v in self.coeffs.items()})
+        return Polynomial(self.nvars, self.field, {m: -v for m, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_ring(other)
-        fld = self.field
         out = {}
         for m1, v1 in self.coeffs.items():
             for m2, v2 in other.coeffs.items():
                 m = monomial_mul(m1, m2)
-                s = fld.add(out.get(m, fld.zero), fld.mul(v1, v2))
-                if fld.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.nvars, fld, out)
+                out[m] = out.get(m, 0) + v1 * v2
+        return Polynomial(self.nvars, self.field, out)
 
     def scale(self, c):
-        fld = self.field
-        c = fld.coerce(c)
-        if fld.is_zero(c):
-            return Polynomial.zero(self.nvars, fld)
-        return Polynomial(self.nvars, fld, {m: fld.mul(c, v) for m, v in self.coeffs.items()})
+        return Polynomial(self.nvars, self.field, {m: c * v for m, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -252,16 +242,8 @@ class Polynomial:
         """Evaluate at a point given as a coordinate sequence."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point length != nvars")
-        fld = self.field
-        coords = [fld.coerce(x) for x in point]
-        total = fld.zero
-        for mono, coef in self.coeffs.items():
-            term = coef
-            for x, e in zip(coords, mono):
-                for _ in range(e):
-                    term = fld.mul(term, x)
-            total = fld.add(total, term)
-        return total
+        return self.field.coerce(sum(coef * prod(x ** e for x, e in zip(point, mono))
+                                     for mono, coef in self.coeffs.items()))
 
     def to_vector(self, degree=None):
         """Coefficient list over the degree-d monomial basis (requires homogeneity)."""
@@ -300,24 +282,18 @@ def contract(f, big):
     No divided-power normalization is applied.
     """
     f._check_ring(big)
-    fld = f.field
     out = {}
     for mf, cf in f.coeffs.items():
         for mF, cF in big.coeffs.items():
             if not monomial_divides(mf, mF):
                 continue
-            scalar = 1
+            v = cf * cF
             for b, a in zip(mF, mf):
                 if a:
-                    scalar *= _falling(b, a)
+                    v *= _falling(b, a)
             m = tuple(b - a for b, a in zip(mF, mf))
-            v = fld.mul(fld.mul(cf, cF), fld.coerce(scalar))
-            s = fld.add(out.get(m, fld.zero), v)
-            if fld.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return Polynomial(f.nvars, fld, out)
+            out[m] = out.get(m, 0) + v
+    return Polynomial(f.nvars, f.field, out)
 
 
 def power_of_linear(coeffs, d, field=QQ):

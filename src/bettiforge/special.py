@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, prod
 
-from .errors import ConsistencyError, MinimalityError, PreconditionError, RetryExhausted
+from .errors import ConsistencyError, PreconditionError, RetryExhausted
 from .exactalg import GF_DEFAULT, GF_PARANOIA, QQ
 from .formulas import syzygy_coefficient
 from .hilbert import froberg_series, multiplicity_of_truncation
@@ -148,7 +148,7 @@ def enumerate_point_set(ds):
     fs, f_ell = _family_polys(reduced, QQ)
     for pt in points:
         for f in fs + [f_ell]:
-            if not QQ.is_zero(f.evaluate(pt)):
+            if f.evaluate(pt):
                 raise ConsistencyError(f"lifted form does not vanish at {pt}")
     return PointSet(points, len(points))
 
@@ -166,7 +166,8 @@ def check_xn_regular(ds, field=None):
     subset of a product grid) and the multiplicity identity checked here, so K
     cannot reappear.  The same certificate runs for the (n-1)-form ideal, and
     the colon quotient inherits regularity from it because it embeds by
-    multiplication; its low-degree slices are also checked directly.
+    multiplication; its low-degree slices are also checked directly.  An
+    ell^e inside (x_i^d_i), where the certificate is not argued, is refused.
     """
     if ds.nvars < 2:
         # with n = 1, ell = x_1: at the even e parity allows, the lifted form of
@@ -177,6 +178,7 @@ def check_xn_regular(ds, field=None):
     n, e, t = ds.nvars, reduced.require_ell(), reduced.total_sum
 
     points = enumerate_point_set(ds)
+    ds.require_minimal()
     red_gens = power_ideal(reduced.degrees, e, QQ)
     red = quotient_hilbert(red_gens, n - 1, QQ)
     if not red.artinian or sum(red.values) != points.count:
@@ -192,7 +194,7 @@ def check_xn_regular(ds, field=None):
     for a in product(*[_symmetric_roots(d) for d in reduced.degrees]):
         pt = a + (1,)
         for f in fs_q:
-            if not QQ.is_zero(f.evaluate(pt)):
+            if f.evaluate(pt):
                 raise ConsistencyError("grid point misses the product forms")
 
     bound = max((t - 1) // 2, tau) + 1
@@ -244,9 +246,7 @@ def check_colon_equals_plus(ds, field=None):
     field = GF_DEFAULT if field is None else field
     normalized, _, reduced = ds.split_quadric()
     reduced.require_odd()
-    if not ds.is_minimal:
-        raise MinimalityError(f"ell^{ds.ell_power} already lies in (x_i^d_i): e exceeds sum of "
-                              f"(d_i - 1) = {ds.variable_sum}, so the colon ideal is the unit ideal")
+    ds.require_minimal()
     n = ds.nvars
     *mono_gens, ell_pow = power_ideal(normalized.degrees, normalized.ell_power, field)
     xn_poly = Polynomial.variable(n - 1, n, field)

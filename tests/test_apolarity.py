@@ -11,6 +11,7 @@ from bettiforge import (
     elementary_symmetric,
     elementary_symmetric_dual,
     lefschetz_check,
+    power_ideal,
     power_of_linear,
     quotient_hilbert,
     semiregularity_check,
@@ -20,7 +21,7 @@ from bettiforge import (
 from bettiforge.errors import PreconditionError, UnitIdealError
 from bettiforge.hilbert import is_symmetric
 
-from helpers import powers_ideal
+from helpers import powers_ideal, sorted_multisets
 
 
 def vp(i, d, n, field=QQ):
@@ -84,6 +85,34 @@ def test_dual_generator_of_colon_matches_colon_ideal():
         assert ann.dim(j) == col.dim(j)
         for row in ann.basis(j).full_rows():
             assert col.basis(j).contains(row)
+
+
+def _dual_generator_inputs(nvals):
+    """(degrees, e): d_i in {2, 3, 4} and every e with ell^e outside (x_i^d_i)."""
+    return [(degs, e) for n in nvals for degs in sorted_multisets((2, 3, 4), n)
+            for e in range(1, sum(d - 1 for d in degs) + 1)]
+
+
+def _check_dual_generator_of_the_link(degrees, e):
+    # the link (x_i^d_i) : ell^e has dual generator ell^e ∘ x_1^(d_1-1)..x_n^(d_n-1)
+    *monomials, ell_power = power_ideal(degrees, e, GF_DEFAULT)
+    socle = Polynomial.monomial(tuple(d - 1 for d in degrees), GF_DEFAULT)
+    ann = annihilator(dual_generator_of_colon(socle, ell_power))
+    link = colon_ideal(monomials, ell_power)
+    for j in range(max(ann.bound, link.bound) + 1):
+        assert ann.quotient_dim(j) == link.quotient_dim(j), j
+    assert lefschetz_check(ann).verdict == "SLP"
+
+
+@pytest.mark.parametrize("degrees,e", _dual_generator_inputs([1, 2, 3]))
+def test_dual_generator_of_the_link(degrees, e):
+    _check_dual_generator_of_the_link(degrees, e)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degrees,e", _dual_generator_inputs([4]))
+def test_dual_generator_of_the_link_at_four_variables(degrees, e):
+    _check_dual_generator_of_the_link(degrees, e)
 
 
 def test_dual_generator_socle_contraction():

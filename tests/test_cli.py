@@ -24,8 +24,7 @@ def test_check_syzygy_passes_at_odd_reduced_sum(capsys):
 def test_check_colon_plus_refuses_ell_power_inside_the_monomials(degrees, e, total, capsys):
     assert main(["check", "colon-plus", "--degrees", degrees, "--ell-power", str(e)]) == 1
     assert capsys.readouterr().err == (
-        f"error: ell^{e} already lies in (x_i^d_i): e exceeds sum of (d_i - 1) = {total}, "
-        "so the colon ideal is the unit ideal\n")
+        f"error: ell power {e} exceeds {total}: the colon ideal is the unit ideal\n")
 
 
 @pytest.mark.parametrize("e", [2, 4])
@@ -36,8 +35,11 @@ def test_check_regular_refuses_one_variable(e, capsys):
 
 @pytest.mark.parametrize("degrees,e", [("2,2", 7), ("1,2", 6)])
 def test_check_regular_with_ell_power_far_past_the_monomials(degrees, e, capsys):
-    assert main(["check", "regular", "--degrees", degrees, "--ell-power", str(e)]) == 0
-    assert capsys.readouterr().out == "regular\n"
+    # ell^e lies in (x_i^d_i), where the certificate is not argued: refused as by `colon`
+    assert main(["check", "regular", "--degrees", degrees, "--ell-power", str(e)]) == 1
+    total = sum(int(d) - 1 for d in degrees.split(","))
+    assert capsys.readouterr().err == (
+        f"error: ell power {e} exceeds {total}: the colon ideal is the unit ideal\n")
 
 
 LINKED_COMMANDS = [["betti", "oracle", "--colon"], ["colon"], ["lefschetz", "--colon"]]

@@ -9,6 +9,7 @@ from bettiforge import (
     GF_PARANOIA,
     QQ,
     Polynomial,
+    PrimeField,
     contract,
     format_polynomial,
     macaulay_matrix,
@@ -168,6 +169,27 @@ def test_contract_is_bilinear_module_action(f, g, big):
     rhs = contract(f, big) + contract(g, big)
     assert lhs == rhs
     assert contract(f * g, big) == contract(f, contract(g, big))
+
+
+@pytest.mark.parametrize("field", (PrimeField(2), PrimeField(3), GF_DEFAULT), ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arithmetic_mod_p_is_the_rational_result_reduced(field, data):
+    # the constructor is the one place coefficients are reduced; small primes
+    # make cancellation frequent
+    n = data.draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), st.integers(-9, 9), max_size=6)
+    a, b = data.draw(terms), data.draw(terms)
+    c = data.draw(st.integers(-9, 9))
+    point = data.draw(st.tuples(*[st.integers(-9, 9)] * n))
+    fq, gq = Polynomial(n, QQ, a), Polynomial(n, QQ, b)
+    fp, gp = Polynomial(n, field, a), Polynomial(n, field, b)
+    for want, got in ((fq, fp), (fq + gq, fp + gp), (fq - gq, fp - gp), (fq * gq, fp * gp),
+                      (fq.scale(c), fp.scale(c)), (contract(fq, gq), contract(fp, gp))):
+        reduced = {m: v % field.p for m, v in want.coeffs.items() if v % field.p}
+        assert got.coeffs == reduced
+        assert all(type(v) is int and 0 < v < field.p for v in got.coeffs.values())
+    assert fp.evaluate(point) == fq.evaluate(point) % field.p
 
 
 @settings(max_examples=30, deadline=None)
