@@ -55,13 +55,12 @@ from .polyring import (
     standard_linear_form,
 )
 from .resolver import (
-    GradedIdealSlices,
     GradedQuotient,
     RelationVector,
     betti_from_quotient,
     colon_ideal,
     ideal_slices,
-    is_level,
+    linked_ideal,
     membership,
     minimal_betti_oracle,
     minimal_generators,

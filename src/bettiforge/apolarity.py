@@ -5,10 +5,11 @@ and weak/strong Lefschetz rank checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 from .errors import ConsistencyError, NonArtinianError, PreconditionError, UnitIdealError
-from .exactalg import RowBasis, rank_of_rows
+from .exactalg import QQ, RowBasis, rank_of_rows
 from .polyring import (
     Polynomial,
     contract,
@@ -17,11 +18,7 @@ from .polyring import (
     power_of_linear,
     standard_linear_form,
 )
-from .resolver import (
-    GradedIdealSlices,
-    GradedQuotient,
-    quotient_model,
-)
+from .resolver import GradedQuotient, _kernel_row_basis, ideal_slices, quotient_model
 
 
 def _guard_characteristic(field, degree):
@@ -33,7 +30,7 @@ def _guard_characteristic(field, degree):
 
 
 def annihilator(dual_form):
-    """Graded slices of Ann(F) = {f : f ∘ F = 0}, computed per degree as the
+    """Ann(F) = {f : f ∘ F = 0} as a GradedQuotient, computed per degree as the
     kernel of the catalecticant map into the dual in complementary degree.
 
     The quotient is Artinian Gorenstein with socle degree deg F; slices run one
@@ -44,8 +41,6 @@ def annihilator(dual_form):
     e = dual_form.homogeneous_degree()
     nvars, field = dual_form.nvars, dual_form.field
     _guard_characteristic(field, e)
-    from .resolver import _kernel_row_basis
-
     bases = {}
     for j in range(e + 2):
         monos = monomials_of_degree(nvars, j)
@@ -60,10 +55,10 @@ def annihilator(dual_form):
             for w, val in image.coeffs.items():
                 rows[target_idx[w], c] = val
         bases[j] = _kernel_row_basis(rows, ncols, field)
-    slices = GradedIdealSlices(nvars, field, bases)
-    if slices.quotient_dim(e) != 1:
+    quot = GradedQuotient(nvars, field, bases)
+    if quot.hf(e) != 1:
         raise ConsistencyError("apolar algebra must have a one-dimensional socle degree piece")
-    return slices
+    return quot
 
 
 def dual_generator_of_colon(dual_of_ideal, f):
@@ -83,8 +78,6 @@ class EsymDual:
 def elementary_symmetric(nvars, k, field):
     """e_k(x_1..x_n): all squarefree degree-k monomials."""
     coeffs = {}
-    from itertools import combinations
-
     for S in combinations(range(nvars), k):
         e = [0] * nvars
         for v in S:
@@ -99,8 +92,6 @@ def elementary_symmetric_dual(nvars, d, field=None):
     The result must equal d! * e_{n-d}; both the symmetric form and the scalar
     are returned after the coefficientwise check.
     """
-    from .exactalg import QQ
-
     field = QQ if field is None else field
     if not 0 <= d <= nvars - 1:
         raise PreconditionError("need 0 <= d <= n-1 for a nonconstant contraction")
@@ -147,11 +138,13 @@ def lefschetz_check(source, ell=None, mode="SLP", nvars=None, field=None):
     mode = mode.upper()
     if mode not in ("SLP", "WLP"):
         raise PreconditionError("mode must be SLP or WLP")
+    if ell is not None and (ell.is_zero() or not ell.is_homogeneous(1)):
+        raise PreconditionError("the Lefschetz element must be a nonzero linear form")
     quot = quotient_model(source, nvars, field)
-    if not quot.slices.artinian_within_bound:
+    if not quot.artinian:
         raise NonArtinianError("Lefschetz checks need an Artinian quotient")
     n, fld = quot.nvars, quot.field
-    s = quot.top_degree
+    s = quot.socle_degree
     _guard_characteristic(fld, max(s, 1))
     if ell is None:
         ell = standard_linear_form(n, fld)
@@ -192,13 +185,9 @@ def semiregularity_check(gens, max_degree=None):
     if max_degree is None:
         max_degree = sum(g.homogeneous_degree() - 1 for g in gens) + \
             max(g.homogeneous_degree() for g in gens) + 1
-    from .resolver import ideal_slices
-
     for k, g in enumerate(gens):
-        prefix = gens[:k]
         d = g.homogeneous_degree()
-        slices = ideal_slices(prefix, nvars, field, max_degree)
-        quot = GradedQuotient(slices)
+        quot = ideal_slices(gens[:k], nvars, field, max_degree)
         for i in range(0, max_degree - d + 1):
             h0 = quot.hf(i)
             h1 = quot.hf(i + d)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .apolarity import annihilator, lefschetz_check
@@ -30,9 +29,9 @@ from .hilbert import (
 )
 from .polyring import Polynomial, format_polynomial, parse_polynomial, power_ideal
 from .resolver import (
-    GradedQuotient,
     betti_from_quotient,
     colon_ideal,
+    linked_ideal,
     minimal_betti_oracle,
     minimal_generators,
     syzygies_in_degree,
@@ -124,10 +123,6 @@ def _parse_degrees(text):
     return degrees
 
 
-def _field(args):
-    return field_from_spec(args.field or os.environ.get("BETTIFORGE_FIELD"))
-
-
 def _degree_sequence(args, need_ell=True):
     degrees = _parse_degrees(args.degrees)
     if need_ell and args.ell_power is None:
@@ -135,16 +130,9 @@ def _degree_sequence(args, need_ell=True):
     return DegreeSequence(len(degrees), degrees, args.ell_power)
 
 
-def _linked_ideal(ds, field):
-    """Slices of the link (x_i^d_i) : ell^e, refused when ell^e lies in (x_i^d_i)."""
-    ds.require_minimal()
-    *monomials, ell_power = power_ideal(ds.degrees, ds.ell_power, field)
-    return colon_ideal(monomials, ell_power)
-
-
 def _oracle_table(ds, field, colon):
     if colon:
-        return betti_from_quotient(GradedQuotient(_linked_ideal(ds, field)))
+        return betti_from_quotient(linked_ideal(ds, field))
     return minimal_betti_oracle(power_ideal(ds.degrees, ds.ell_power, field))
 
 
@@ -180,7 +168,7 @@ def _cmd_hilbert(args):
 
 
 def _cmd_betti(args):
-    field = _field(args)
+    field = field_from_spec(args.field)
     fmt = args.format
     if args.mode == "oracle":
         if args.gens:
@@ -216,36 +204,35 @@ def _cmd_betti(args):
     return 0
 
 
-def _print_ideal(slices, fmt):
-    """The Hilbert function up to its top degree, then the minimal generators."""
-    series = slices.hilbert_values()
-    top = max((j for j, v in enumerate(series) if v), default=0)
-    gens_out = minimal_generators(slices)
+def _print_ideal(quot, fmt):
+    """The Hilbert function up to the socle degree, then the minimal generators."""
+    series = quot.hilbert()
+    gens_out = minimal_generators(quot)
     if fmt == "json":
         print(json.dumps({
-            "hilbert": series[:top + 1],
+            "hilbert": series,
             "generators": [format_polynomial(g) for g in gens_out],
         }))
     else:
-        print(render_series(series[:top + 1], fmt))
+        print(render_series(series, fmt))
         for g in gens_out:
             print(format_polynomial(g))
 
 
 def _cmd_colon(args):
-    field = _field(args)
+    field = field_from_spec(args.field)
     ds = _degree_sequence(args)
     if args.f:
         f = parse_polynomial(args.f, nvars=ds.nvars, field=field, require_homogeneous=True)
-        slices = colon_ideal(power_ideal(ds.degrees, ds.ell_power, field), f)
+        quot = colon_ideal(power_ideal(ds.degrees, ds.ell_power, field), f)
     else:
-        slices = _linked_ideal(ds, field)
-    _print_ideal(slices, args.format)
+        quot = linked_ideal(ds, field)
+    _print_ideal(quot, args.format)
     return 0
 
 
 def _cmd_annihilator(args):
-    field = _field(args)
+    field = field_from_spec(args.field)
     form = parse_polynomial(args.form, nvars=args.nvars, field=field,
                             require_homogeneous=True)
     _print_ideal(annihilator(form), args.format)
@@ -256,7 +243,7 @@ def _cmd_esym(args):
     if args.kind == "count":
         print(lattice_path_count(args.nvars, args.d))
         return 0
-    field = _field(args)
+    field = field_from_spec(args.field)
     gens = esym_annihilator_generators(args.nvars, args.d, field)
     if args.format == "json":
         print(json.dumps([format_polynomial(g) for g in gens]))
@@ -267,10 +254,10 @@ def _cmd_esym(args):
 
 
 def _cmd_lefschetz(args):
-    field = _field(args)
+    field = field_from_spec(args.field)
     ds = _degree_sequence(args, need_ell=args.colon or args.ell_power is not None)
     if args.colon:
-        source = _linked_ideal(ds, field)
+        source = linked_ideal(ds, field)
     else:
         source = power_ideal(ds.degrees, ds.ell_power, field)
     ell = None
@@ -293,13 +280,13 @@ def _cmd_lefschetz(args):
 
 
 def _cmd_check(args):
-    field = _field(args)
     if args.kind == "generic-level":
         degrees = _parse_degrees(args.degrees)
         ok = all(random_generic_level_spotcheck(args.nvars, degrees, args.seed + k)
                  for k in range(args.draws))
         print("level" if ok else "NOT level")
         return 0 if ok else 2
+    field = field_from_spec(args.field)
     ds = _degree_sequence(args)
     if args.kind == "point-set":
         pts = enumerate_point_set(ds)
@@ -336,7 +323,7 @@ def _cmd_check(args):
 SHARED = {
     "--degrees": {"required": True, "help": "comma-separated variable powers d1,..,dn"},
     "--ell-power": {"type": int, "help": "power of the linear form x1+..+xn"},
-    "--field": {"help": "rational | prime:p | p (default GF(65521); env BETTIFORGE_FIELD)"},
+    "--field": {"help": "rational | prime:p | p (default GF(65521))"},
     "--format": {"choices": ("text", "json", "csv"), "default": "text"},
     "--nvars": {"type": int},
 }
@@ -393,8 +380,7 @@ COMMANDS = (
     (("check", "generic-level"), None, _cmd_check, {},
      (("--nvars", {"required": True}),
       ("--degrees", {"help": "n+1 form degrees, one equal to 2"}),
-      ("--seed", {"type": int, "required": True}), ("--draws", {"type": int, "default": 1}),
-      "--field")),
+      ("--seed", {"type": int, "required": True}), ("--draws", {"type": int, "default": 1}))),
 )
 
 

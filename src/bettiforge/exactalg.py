@@ -189,8 +189,9 @@ GF_PARANOIA = PrimeField(PARANOIA_PRIME)
 
 
 def field_from_spec(spec):
-    """Parse a field description: 'rational', 'prime:p', or a bare prime."""
-    if spec is None:
+    """Parse a field description: 'rational', 'prime:p', or a bare prime; an
+    absent or empty one means GF_DEFAULT."""
+    if not spec:
         return GF_DEFAULT
     if isinstance(spec, (RationalField, PrimeField)):
         return spec

@@ -383,17 +383,15 @@ def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
     sign = 1
     coeff = None
     expo = {}
-    pending_factor = True
 
     def flush():
-        nonlocal sign, coeff, expo, pending_factor
+        nonlocal sign, coeff, expo
         if coeff is None and not expo:
             raise PreconditionError(f"malformed polynomial: {text!r}")
         terms.append((sign, Fraction(coeff if coeff is not None else 1), dict(expo)))
-        sign, coeff, expo, pending_factor = 1, None, {}, True
+        sign, coeff, expo = 1, None, {}
 
     pos = 0
-    saw_any = False
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
@@ -404,14 +402,12 @@ def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
         if m.group("op"):
             op = m.group("op")
             if op == "*":
-                pending_factor = True
                 continue
-            if saw_any and (coeff is not None or expo):
+            if coeff is not None or expo:
                 flush()
             if op == "-":
                 sign = -sign
             continue
-        saw_any = True
         if m.group("num"):
             value = Fraction(m.group("num"))
             coeff = value if coeff is None else coeff * value
@@ -421,7 +417,6 @@ def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
                 raise PreconditionError("variables are x1, x2, ...")
             power = int(m.group("pow") or 1)
             expo[var] = expo.get(var, 0) + power
-        pending_factor = False
     if coeff is not None or expo:
         flush()
     if not terms:

@@ -1,6 +1,12 @@
-"""The brute-force side: graded ideal slices, Hilbert functions, minimal
-generators, colon ideals, socles, first syzygies, ideal membership, and exact
-graded Betti numbers, all by degree-by-degree linear algebra over an exact field.
+"""The brute-force side: exact degree-by-degree linear algebra over a field.
+
+`GradedQuotient` is the one graded object for an ideal I and its quotient
+R/I: I's reduced basis in each degree and, read off those bases, the Hilbert
+function, socle degree, class matrices and multiplication maps of R/I.
+`ideal_slices` builds it from generators, `colon_ideal` and `linked_ideal`
+from a colon, and `apolarity.annihilator` from a dual form. Minimal
+generators, socles and graded Betti numbers are read from it; first syzygies
+and ideal membership work on the generators directly.
 
 Betti numbers are computed as the graded dimensions of the homology of the
 Koszul complex on the variables with coefficients in the quotient algebra,
@@ -31,6 +37,7 @@ from .polyring import (
     macaulay_columns,
     macaulay_matrix,
     monomials_of_degree,
+    power_ideal,
     product_positions,
     term_exponents,
     variable_shift_map,
@@ -90,54 +97,102 @@ def slice_at_degree(gens, j, nvars, field):
     return RowBasis(len(exps), field, [pivots[k] for k in order], support, tails[order])
 
 
-class GradedIdealSlices:
-    """Per-degree reduced bases of a homogeneous ideal, up to a stated bound."""
+def _accumulate_products(field, target_class, positions, coeffs):
+    """sum_t coeffs[t] * target_class[positions[:, t]], reduced every `safe_terms` terms."""
+    acc = field.zeros((len(positions), target_class.shape[1]))
+    for t, c in enumerate(coeffs):
+        acc += c * target_class[positions[:, t]]
+        if (t + 1) % field.safe_terms == 0:
+            acc = field.reduce(acc)
+    return field.reduce(acc)
+
+
+class GradedQuotient:
+    """A homogeneous ideal I and its quotient R/I, degree by degree up to `bound`.
+
+    The ideal side is I's reduced basis in each degree (`bases`, `dim`,
+    `contains`). The quotient side reads its standard monomials off those
+    bases (their support columns): the Hilbert function, the socle degree, a
+    class matrix sending each monomial to its residue coordinates, and
+    multiplication maps between graded pieces.
+    """
 
     def __init__(self, nvars, field, bases):
         self.nvars = nvars
         self.field = field
         self.bases = dict(bases)
         self.bound = max(self.bases) if self.bases else -1
+        self._classes = {}
+        self._mult = {}
 
-    def basis(self, j):
-        return self.bases[j]
+    def _within_bound(self, j):
+        """Is degree j computed? Past the bound only if R/I already vanished there."""
+        if j <= self.bound:
+            return True
+        if self.bases[self.bound].codim == 0:
+            return False
+        raise PreconditionError(f"degree {j} beyond the computed bound {self.bound}")
 
     def dim(self, j):
         return self.bases[j].dim
-
-    def quotient_dim(self, j):
-        if j < 0:
-            return 0
-        if j > self.bound:
-            base = self.bases[self.bound]
-            if base.codim == 0:
-                return 0
-            raise PreconditionError(f"degree {j} beyond the computed bound {self.bound}")
-        return self.bases[j].codim
-
-    def hilbert_values(self):
-        return [self.bases[j].codim for j in range(self.bound + 1)]
-
-    @property
-    def artinian_within_bound(self):
-        return any(self.bases[j].codim == 0 for j in self.bases)
-
-    @property
-    def socle_degree(self):
-        """Top degree with nonzero quotient; requires vanishing inside the bound."""
-        if not self.artinian_within_bound:
-            raise NonArtinianError("quotient did not vanish inside the computed bound")
-        return max((j for j in self.bases if self.bases[j].codim > 0), default=0)
 
     def contains(self, poly):
         if poly.is_zero():
             return True
         d = poly.homogeneous_degree()
-        if d > self.bound:
-            if self.bases[self.bound].codim == 0:
-                return True
-            raise PreconditionError(f"degree {d} beyond the computed bound {self.bound}")
-        return self.bases[d].contains(poly.to_vector())
+        return not self._within_bound(d) or self.bases[d].contains(poly.to_vector())
+
+    def hf(self, j):
+        """Hilbert function of R/I in degree j."""
+        if j < 0 or not self._within_bound(j):
+            return 0
+        return self.bases[j].codim
+
+    @property
+    def artinian(self):
+        """Has R/I vanished inside the bound?"""
+        return any(base.codim == 0 for base in self.bases.values())
+
+    @property
+    def socle_degree(self):
+        """Top degree with nonzero quotient; requires vanishing inside the bound."""
+        if not self.artinian:
+            raise NonArtinianError("quotient did not vanish inside the computed bound")
+        return max((j for j in self.bases if self.bases[j].codim > 0), default=0)
+
+    def hilbert(self):
+        """The Hilbert function through the socle degree, or through the bound
+        when R/I has not vanished inside it."""
+        top = self.socle_degree if self.artinian else self.bound
+        return [self.hf(j) for j in range(top + 1)]
+
+    def class_matrix(self, j):
+        if j not in self._classes:
+            self._classes[j] = self.bases[j].class_matrix()
+        return self._classes[j]
+
+    def mult_variable(self, v, j):
+        """Matrix of multiplication by x_v from degree j to j+1, columns over std monomials."""
+        key = (v, j)
+        if key not in self._mult:
+            target = self.class_matrix(j + 1)
+            shift = variable_shift_map(self.nvars, j, v)
+            self._mult[key] = target[shift[list(self.bases[j].support)]].T.copy()
+        return self._mult[key]
+
+    def products_class_matrix(self, g, k, monos=None):
+        """Rows = class of (m * g) in degree k + deg g, m over the degree-k
+        monomials, or over those at the positions `monos` when given."""
+        exps = exponent_array(self.nvars, k)
+        if monos is not None:
+            exps = exps[list(monos)]
+        terms, coeffs = term_exponents(g)
+        target = self.class_matrix(k + g.homogeneous_degree())
+        return _accumulate_products(self.field, target, product_positions(exps, terms), coeffs)
+
+    def mult_poly(self, g, j):
+        """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
+        return self.products_class_matrix(g, j, self.bases[j].support).T.copy()
 
 
 def _infer_ring(gens, nvars, field):
@@ -155,6 +210,8 @@ def default_artinian_bound(gens):
 
 
 def ideal_slices(gens, nvars=None, field=None, max_degree=None):
+    """R/(gens) as a GradedQuotient with bases through `max_degree`, by default
+    a degree by which an Artinian quotient has vanished."""
     gens = list(gens)
     nvars, field = _infer_ring(gens, nvars, field)
     if max_degree is None:
@@ -168,7 +225,7 @@ def ideal_slices(gens, nvars=None, field=None, max_degree=None):
             for k in range(j + 1, max_degree + 1):
                 bases[k] = RowBasis.full(len(monomials_of_degree(nvars, k)), field)
             break
-    return GradedIdealSlices(nvars, field, bases)
+    return GradedQuotient(nvars, field, bases)
 
 
 @dataclass
@@ -190,12 +247,15 @@ def quotient_hilbert(gens, nvars=None, field=None, max_degree=None):
     nvars, field = _infer_ring(gens, nvars, field)
     if max_degree is None:
         max_degree = default_artinian_bound(gens) if len(gens) >= nvars else nvars
-    slices = ideal_slices(gens, nvars, field, max_degree)
-    values = slices.hilbert_values()
-    if 0 in values:
-        top = max(j for j, v in enumerate(values) if v)
-        return QuotientHilbert(values[:top + 1], True)
-    return QuotientHilbert(values, False)
+    quot = ideal_slices(gens, nvars, field, max_degree)
+    return QuotientHilbert(quot.hilbert(), quot.artinian)
+
+
+def quotient_model(source, nvars=None, field=None):
+    """`source` itself when it is a GradedQuotient, else R/(source) for generators."""
+    if isinstance(source, GradedQuotient):
+        return source
+    return ideal_slices(source, nvars, field)
 
 
 def _shifted_coordinates(prev, shift, coord, width, field):
@@ -212,7 +272,7 @@ def _shifted_coordinates(prev, shift, coord, width, field):
     return out
 
 
-def minimal_generators(slices):
+def minimal_generators(ideal):
     """Degreewise bases of I_j modulo R_1 * I_{j-1}; their count per degree is beta_{1,j}.
 
     Basis row k of I_j is a generator when it lies outside R_1 * I_{j-1} plus
@@ -221,14 +281,14 @@ def minimal_generators(slices):
     coordinate dim - 1 - k, that holds exactly when dim - 1 - k is not a pivot
     of R_1 * I_{j-1}, whose shifted rows are absorbed one variable at a time.
     """
-    nvars, field = slices.nvars, slices.field
+    nvars, field = ideal.nvars, ideal.field
     out = []
-    for j in range(slices.bound + 1):
-        base = slices.bases[j]
+    for j in range(ideal.bound + 1):
+        base = ideal.bases[j]
         if base.dim == 0:
             continue
         spanned = Accumulator(base.dim, field)
-        prev = slices.bases.get(j - 1)
+        prev = ideal.bases.get(j - 1)
         if prev is not None and prev.dim:
             coord = np.full(base.ncols, -1)
             coord[list(base.pivots)] = np.arange(base.dim)[::-1]
@@ -243,78 +303,6 @@ def minimal_generators(slices):
         for row in gens.full_rows():
             out.append(Polynomial.from_vector(list(row), nvars, j, field))
     return out
-
-
-# ---------------------------------------------------------------------------
-# quotient algebra model
-
-
-def _accumulate_products(field, target_class, positions, coeffs):
-    """sum_t coeffs[t] * target_class[positions[:, t]], reduced every `safe_terms` terms."""
-    acc = field.zeros((len(positions), target_class.shape[1]))
-    for t, c in enumerate(coeffs):
-        acc += c * target_class[positions[:, t]]
-        if (t + 1) % field.safe_terms == 0:
-            acc = field.reduce(acc)
-    return field.reduce(acc)
-
-
-class GradedQuotient:
-    """Standard-monomial model of R/I built from ideal slices.
-
-    Per degree: the standard monomials (support columns of the slice basis), a
-    class matrix sending each monomial to its residue coordinates, and
-    multiplication maps between graded pieces.
-    """
-
-    def __init__(self, slices):
-        self.slices = slices
-        self.nvars = slices.nvars
-        self.field = slices.field
-        self._classes = {}
-        self._mult = {}
-
-    def hf(self, j):
-        return self.slices.quotient_dim(j)
-
-    @property
-    def top_degree(self):
-        return self.slices.socle_degree
-
-    def class_matrix(self, j):
-        if j not in self._classes:
-            self._classes[j] = self.slices.bases[j].class_matrix()
-        return self._classes[j]
-
-    def mult_variable(self, v, j):
-        """Matrix of multiplication by x_v from degree j to j+1, columns over std monomials."""
-        key = (v, j)
-        if key not in self._mult:
-            base = self.slices.bases[j]
-            target = self.class_matrix(j + 1)
-            shift = variable_shift_map(self.nvars, j, v)
-            self._mult[key] = target[shift[list(base.support)]].T.copy()
-        return self._mult[key]
-
-    def products_class_matrix(self, g, k, monos=None):
-        """Rows = class of (m * g) in degree k + deg g, m over the degree-k
-        monomials, or over those at the positions `monos` when given."""
-        exps = exponent_array(self.nvars, k)
-        if monos is not None:
-            exps = exps[list(monos)]
-        terms, coeffs = term_exponents(g)
-        target = self.class_matrix(k + g.homogeneous_degree())
-        return _accumulate_products(self.field, target, product_positions(exps, terms), coeffs)
-
-    def mult_poly(self, g, j):
-        """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
-        return self.products_class_matrix(g, j, self.slices.bases[j].support).T.copy()
-
-
-def quotient_model(gens_or_slices, nvars=None, field=None):
-    if isinstance(gens_or_slices, GradedIdealSlices):
-        return GradedQuotient(gens_or_slices)
-    return GradedQuotient(ideal_slices(gens_or_slices, nvars, field))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +337,7 @@ def _koszul_differential_rank(quot, i, j):
 def betti_from_quotient(quot):
     """Graded Betti table of the quotient, as graded Koszul homology dimensions."""
     n = quot.nvars
-    s = quot.top_degree
+    s = quot.socle_degree
     ranks = {}
     for i in range(1, n + 1):
         for j in range(i, i + s + 1):
@@ -376,10 +364,10 @@ def minimal_betti_oracle(gens, nvars=None, field=None):
     nvars, field = _infer_ring(gens, nvars, field)
     if len(gens) < nvars:
         raise NonArtinianError("fewer generators than variables can never be Artinian")
-    slices = ideal_slices(gens, nvars, field)
-    if not slices.artinian_within_bound:
+    quot = ideal_slices(gens, nvars, field)
+    if not quot.artinian:
         raise NonArtinianError("quotient did not vanish inside the safe degree bound")
-    return betti_from_quotient(GradedQuotient(slices))
+    return betti_from_quotient(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +393,9 @@ def colon_ideal(gens, f):
     nvars, field = _infer_ring(gens, f.nvars, f.field)
     if len(gens) < nvars:
         raise PreconditionError("non-Artinian source: fewer generators than variables")
-    slices = ideal_slices(gens, nvars, field)
-    quot = GradedQuotient(slices)
-    max_degree = max(0, slices.socle_degree - df + 1)
-    if max_degree + df > slices.bound:
+    quot = ideal_slices(gens, nvars, field)
+    max_degree = max(0, quot.socle_degree - df + 1)
+    if max_degree + df > quot.bound:
         raise PreconditionError("source slices do not reach max_degree + deg f")
     bases = {}
     for j in range(max_degree + 1):
@@ -418,7 +405,14 @@ def colon_ideal(gens, f):
             bases[j] = RowBasis.full(ncols, field)
             continue
         bases[j] = _kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
-    return GradedIdealSlices(nvars, field, bases)
+    return GradedQuotient(nvars, field, bases)
+
+
+def linked_ideal(ds, field):
+    """The link (x_i^d_i) : ell^e, refused when ell^e lies in (x_i^d_i)."""
+    ds.require_minimal()
+    *monomials, ell_power = power_ideal(ds.degrees, ds.ell_power, field)
+    return colon_ideal(monomials, ell_power)
 
 
 @dataclass
@@ -434,7 +428,7 @@ class SocleReport:
 def socle_dims(source, nvars=None, field=None):
     """Per-degree dimensions of (0 : m) in the quotient, plus the levelness verdict."""
     quot = quotient_model(source, nvars, field)
-    s = quot.top_degree
+    s = quot.socle_degree
     n = quot.nvars
     dims = {}
     for j in range(s + 1):
@@ -446,10 +440,6 @@ def socle_dims(source, nvars=None, field=None):
         if dim:
             dims[j] = dim
     return SocleReport(dims, len(dims) == 1)
-
-
-def is_level(source, nvars=None, field=None):
-    return socle_dims(source, nvars, field).is_level
 
 
 @dataclass

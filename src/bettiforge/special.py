@@ -22,9 +22,9 @@ from .polyring import (
     standard_linear_form,
 )
 from .resolver import (
-    GradedQuotient,
     colon_ideal,
     ideal_slices,
+    linked_ideal,
     membership,
     quotient_hilbert,
     rank_of_rows,
@@ -101,14 +101,13 @@ def build_lifted_family(ds, field=None):
         raise ConsistencyError("lifted linear-form product fails its expansion identity")
 
     original = power_ideal(normalized.degrees, e, field)
-    slices_i = ideal_slices(original, n, field)
-    lifted_plus = ideal_slices(fs + [f_ell, xn2], n, field,
-                               max_degree=slices_i.bound)
+    quot_i = ideal_slices(original, n, field)
+    lifted_plus = ideal_slices(fs + [f_ell, xn2], n, field, max_degree=quot_i.bound)
     for g in original:
         if not lifted_plus.contains(g):
             raise ConsistencyError("original generator missing from lifted ideal + (x_n^2)")
-    for j in range(slices_i.bound + 1):
-        if slices_i.dim(j) != lifted_plus.dim(j):
+    for j in range(quot_i.bound + 1):
+        if quot_i.dim(j) != lifted_plus.dim(j):
             raise ConsistencyError(f"lifted ideal + (x_n^2) differs in degree {j}")
     return LiftedFamily(n, reduced.degrees, e, field, fs, f_ell)
 
@@ -198,15 +197,12 @@ def check_xn_regular(ds, field=None):
                 raise ConsistencyError("grid point misses the product forms")
 
     bound = max((t - 1) // 2, tau) + 1
-    slices_j = ideal_slices(fs, n, field, max_degree=max(tau + 2, bound))
-    hf_j = slices_j.hilbert_values()
+    quot_j = ideal_slices(fs, n, field, max_degree=max(tau + 2, bound))
     grid_vals = list(grid_expected.values) + [0] * (tau + 2)
     for j in range(tau + 2):
-        prev = hf_j[j - 1] if j else 0
-        if hf_j[j] - prev != grid_vals[j]:
+        if quot_j.hf(j) - quot_j.hf(j - 1) != grid_vals[j]:
             return False
 
-    quot_j = GradedQuotient(slices_j)
     xn_poly = Polynomial.variable(n - 1, n, field)
     rank_cache = {}
 
@@ -222,7 +218,7 @@ def check_xn_regular(ds, field=None):
         return rank_cache[key]
 
     red_vals = list(red.values) + [0] * (bound + 1)
-    hf_i = [hf_j[j] - image_rank(f_ell, j - e) for j in range(bound + 1)]
+    hf_i = [quot_j.hf(j) - image_rank(f_ell, j - e) for j in range(bound + 1)]
     for j in range(bound + 1):
         prev = hf_i[j - 1] if j else 0
         if hf_i[j] - prev != red_vals[j]:
@@ -248,12 +244,11 @@ def check_colon_equals_plus(ds, field=None):
     reduced.require_odd()
     ds.require_minimal()
     n = ds.nvars
-    *mono_gens, ell_pow = power_ideal(normalized.degrees, normalized.ell_power, field)
+    gens = power_ideal(normalized.degrees, normalized.ell_power, field)
     xn_poly = Polynomial.variable(n - 1, n, field)
 
-    def colon_vs_plus(slices, plus_dims):
-        quot = GradedQuotient(slices)
-        s = slices.socle_degree
+    def colon_vs_plus(quot, plus_dims):
+        s = quot.socle_degree
         nmon = [len(monomials_of_degree(n, j)) for j in range(s + 3)]
         ranks = []
         for j in range(s + 2):
@@ -264,21 +259,19 @@ def check_colon_equals_plus(ds, field=None):
             ranks.append(rank_of_rows(mat, quot.hf(j + 1), field))
         for j in range(s + 2):
             colon_dim = nmon[j] - ranks[j]
-            plus_dim = slices.dim(j) + (ranks[j - 1] if j else 0)
+            plus_dim = quot.dim(j) + (ranks[j - 1] if j else 0)
             if plus_dims is not None and plus_dims[j] != plus_dim:
                 raise ConsistencyError("two routes to the plus ideal disagree")
             if colon_dim != plus_dim:
                 return False
         return True
 
-    slices_i = ideal_slices(mono_gens + [ell_pow], n, field)
-    plus = ideal_slices(mono_gens + [ell_pow, xn_poly], n, field,
-                        max_degree=slices_i.socle_degree + 1)
+    quot_i = ideal_slices(gens, n, field)
+    plus = ideal_slices(gens + [xn_poly], n, field, max_degree=quot_i.socle_degree + 1)
     plus_dims = [plus.dim(j) for j in range(plus.bound + 1)]
-    if not colon_vs_plus(slices_i, plus_dims):
+    if not colon_vs_plus(quot_i, plus_dims):
         return False
-    slices_g = colon_ideal(mono_gens, ell_pow)
-    return colon_vs_plus(slices_g, None)
+    return colon_vs_plus(linked_ideal(normalized, field), None)
 
 
 def check_syzygy_property(ds, relation):
@@ -422,12 +415,8 @@ def random_generic_level_spotcheck(nvars, degrees, seed, retries=8):
             forms.append(Polynomial(nvars, field, coeffs))
         if any(f.is_zero() for f in forms):
             continue
-        slices = ideal_slices(forms, nvars, field)
-        values = slices.hilbert_values()
-        if 0 not in values:
+        quot = ideal_slices(forms, nvars, field)
+        if not quot.artinian or tuple(quot.hilbert()) != expected:
             continue
-        top = max(j for j, v in enumerate(values) if v)
-        if tuple(values[:top + 1]) != expected:
-            continue
-        return socle_dims(slices).is_level
+        return socle_dims(quot).is_level
     raise RetryExhausted(f"no generic draw within {retries} attempts (seed {seed})")

@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: power ideals, cached oracle runs, sweeps."""
+"""Shared builders for the test suite: cached oracle runs and sweeps."""
 
 from functools import lru_cache
 from itertools import product
@@ -8,9 +8,8 @@ from bettiforge import (
     GF_PARANOIA,
     QQ,
     DegreeSequence,
-    GradedQuotient,
     betti_from_quotient,
-    colon_ideal,
+    linked_ideal,
     minimal_betti_oracle,
     power_ideal,
     socle_dims,
@@ -23,27 +22,19 @@ def field_by_key(key):
     return FIELDS[key]
 
 
-def powers_ideal(ds, field):
-    """Generators (x_1^d1, .., x_n^dn) plus ell^e when the sequence carries it."""
-    return power_ideal(ds.degrees, ds.ell_power, field)
-
-
 @lru_cache(maxsize=None)
 def oracle_table(nvars, degrees, ell, kind, field_key="p"):
     """Resolution-oracle Betti table for the power ideal or its linked colon."""
     field = field_by_key(field_key)
-    ds = DegreeSequence(nvars, degrees, ell)
-    gens = powers_ideal(ds, field)
     if kind == "aci":
-        return minimal_betti_oracle(gens)
-    slices = colon_ideal(gens[:-1], gens[-1])
-    return betti_from_quotient(GradedQuotient(slices))
+        return minimal_betti_oracle(power_ideal(degrees, ell, field))
+    return betti_from_quotient(linked_ideal(DegreeSequence(nvars, degrees, ell), field))
 
 
 @lru_cache(maxsize=None)
 def oracle_is_level(nvars, degrees, ell):
     """The oracle's verdict on the power ideal: is its socle in a single degree?"""
-    return socle_dims(powers_ideal(DegreeSequence(nvars, degrees, ell), GF_DEFAULT)).is_level
+    return socle_dims(power_ideal(degrees, ell, GF_DEFAULT)).is_level
 
 
 def sorted_multisets(values, size):

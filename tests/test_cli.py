@@ -42,6 +42,22 @@ def test_check_regular_with_ell_power_far_past_the_monomials(degrees, e, capsys)
         f"error: ell power {e} exceeds {total}: the colon ideal is the unit ideal\n")
 
 
+@pytest.mark.parametrize("ell", ["x1^2", "x1*x2", "1", "0"])
+def test_lefschetz_refuses_an_element_that_is_not_linear(ell, capsys):
+    assert main(["lefschetz", "--degrees", "2,2", "--ell", ell]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the Lefschetz element must be a nonzero linear form\n"
+
+
+def test_check_generic_level_takes_no_field(capsys):
+    argv = ["check", "generic-level", "--nvars", "2", "--degrees", "2,2,2", "--seed", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "level\n"
+    assert main(argv + ["--field", "rational"]) == 1
+    assert "unrecognized arguments: --field rational" in capsys.readouterr().err
+
+
 LINKED_COMMANDS = [["betti", "oracle", "--colon"], ["colon"], ["lefschetz", "--colon"]]
 
 
