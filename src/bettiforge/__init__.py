@@ -64,7 +64,6 @@ from .resolver import (
     membership,
     minimal_betti_oracle,
     minimal_generators,
-    quotient_hilbert,
     socle_dims,
     syzygies_in_degree,
 )

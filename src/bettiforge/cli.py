@@ -286,12 +286,12 @@ def _cmd_check(args):
                  for k in range(args.draws))
         print("level" if ok else "NOT level")
         return 0 if ok else 2
-    field = field_from_spec(args.field)
-    ds = _degree_sequence(args)
     if args.kind == "point-set":
-        pts = enumerate_point_set(ds)
+        pts = enumerate_point_set(_degree_sequence(args))
         print(json.dumps({"count": pts.count, "points": [list(p) for p in pts.points]}))
         return 0
+    field = field_from_spec(args.field)
+    ds = _degree_sequence(args)
     if args.kind == "regular":
         ok = check_xn_regular(ds, field)
         print("regular" if ok else "NOT regular")
@@ -375,8 +375,9 @@ COMMANDS = (
               ("--mode", {"choices": ("slp", "wlp"), "default": "slp"}),
               ("--ell", {"help": "candidate linear form (default x1+..+xn)"}))),
     (("check", "syzygy"), None, _cmd_check, {}, IDEAL + (("--max-degree", {"type": int}),)),
-    *((("check", kind), None, _cmd_check, {}, IDEAL)
-      for kind in ("point-set", "regular", "colon-plus")),
+    # the point set is enumerated over QQ only
+    (("check", "point-set"), None, _cmd_check, {}, ("--degrees", "--ell-power", "--format")),
+    *((("check", kind), None, _cmd_check, {}, IDEAL) for kind in ("regular", "colon-plus")),
     (("check", "generic-level"), None, _cmd_check, {},
      (("--nvars", {"required": True}),
       ("--degrees", {"help": "n+1 form degrees, one equal to 2"}),

@@ -10,29 +10,32 @@ fits a 64-bit intermediate; QQ keeps normalized Fraction entries in object
 arrays.  One elimination routine, `_eliminate`, serves both fields, and every
 structure here is built on it.
 
-Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010).  Each
-nonzero row has a leading column; one row per distinct leading column, the
-sparsest, gives an echelon block of k pivots with no arithmetic, on the rows
-or on the columns, whichever gives more.  If no other nonzero line is left,
-the rank is k.  A matrix more than half full goes to `_eliminate`.
-Otherwise the other rows are reduced against that block and
-rank = k + rank(S) for their Schur complement S, in every field.  Over GF(p)
-with k·(p−1)² + p <= 2**53, S is formed exactly in float64 BLAS (delayed
-reduction, as in FFLAS-FFPACK); over QQ and past the bound (GF(1073741789)
-always) it is formed in the field by `_eliminate` run over the k pivot
-columns only.  The input is never modified.
+Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010), and
+work on a matrix's nonzero coordinates: only a Schur complement, or a matrix
+more than half full, is ever made dense.  Each nonzero row has a leading
+column; one row per distinct leading column, the sparsest, gives an echelon
+block of k pivots with no arithmetic, on the rows or on the columns,
+whichever gives more.  If no other nonzero line is left, the rank is k.  A
+matrix more than half full goes to `_eliminate`.  Otherwise the other rows
+are reduced against that block and rank = k + rank(S) for their Schur
+complement S, in every field.  Over GF(p) with k·(p−1)² + p <= 2**53, S is
+formed exactly in float64 BLAS (delayed reduction, as in FFLAS-FFPACK); over
+QQ and past the bound (GF(1073741789) always) it is formed in the field by
+`_eliminate` run over the k pivot columns only.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
-`rank_of_rows` for ranks, `RowBasis` for a subspace in fully reduced form
+`rank_of_rows` for ranks of dense rows or of `SparseRows` (a matrix given by
+its nonzero coordinates), `RowBasis` for a subspace in fully reduced form
 (reduction, membership, quotient classes, kernels built from its pivots and
-tails), and `Accumulator`, a `RowBasis` that grows block by block.  Matrices
-are plain field arrays throughout.
+tails), and `Accumulator`, a `RowBasis` that grows block by block.  Apart
+from `SparseRows`, matrices are plain field arrays.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -336,7 +339,12 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
                 _sub_mod(y[:, q], y[:, inner], ts[inner, q - s], p)
         used[s:e] = y[:, s:e].any(axis=0)
     inner = np.flatnonzero(used & (np.bincount(b[0], minlength=k) > 0))
-    y = y[:, inner]
+    # keep only the columns of Y that meet B, compacted in place: inner[m] >= m,
+    # so a block is written only over columns no later block reads
+    for s in range(0, inner.size, _SCHUR_BLOCK):
+        block = inner[s:s + _SCHUR_BLOCK]
+        y[:, s:s + block.size] = y[:, block]
+    y = y[:, :inner.size]
     for s in range(0, nother, _SCHUR_BLOCK):
         e = min(s + _SCHUR_BLOCK, nother)
         _sub_mod(c[:, s:e], y, _column_slab(*b, k, s, e)[inner], p)
@@ -355,28 +363,55 @@ def _exact_schur_complement(g, k, field):
     return g[k:, k:]
 
 
-def _rank(a, field, owned):
-    """Rank of the field array `a`, which is only read unless `owned`.
+@dataclass
+class SparseRows:
+    """A matrix with `nrows` rows given by coordinates: the nonzero field
+    elements `vals` at (`rows`, `cols`), sorted by row, then column.
+
+    Like a list of rows it has a length, the row count, and iterates over its
+    rows, here each row's nonzero values.
+    """
+
+    nrows: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __len__(self):
+        return self.nrows
+
+    def __iter__(self):
+        ends = np.searchsorted(self.rows, np.arange(self.nrows + 1)).tolist()
+        return (self.vals[a:b] for a, b in zip(ends, ends[1:]))
+
+
+def _coordinates(a, nonzero, field):
+    """The entries of the dense array `a` where the mask `nonzero` holds,
+    sorted by (row, column), as rows, columns and values in the field's dtype."""
+    rows, cols = np.nonzero(nonzero)
+    return rows, cols, np.asarray(a[rows, cols], field.dtype)
+
+
+def _rank(rows, cols, vals, nrows, ncols, field):
+    """Rank of the nrows x ncols matrix with the nonzero field elements `vals`
+    at (`rows`, `cols`), sorted by (row, column).
 
     The pivots of a structural echelon block (`_structural_pivots` on the rows
-    of `a` or on its columns, whichever gives more) count without arithmetic.
-    The other lines go into the Schur complement S of the pivot block, and
+    or on the columns, whichever gives more) count without arithmetic.  The
+    other lines go into the Schur complement S of the pivot block, and
     rank = k + rank(S).  S is formed in float64 BLAS over GF(p) where that is
-    exact (`_schur_complement`), else in the field (`_exact_schur_complement`).
-    Dense matrices are eliminated directly.
+    exact (`_schur_complement`), else in the field (`_exact_schur_complement`,
+    on the block matrix filled from the coordinates).  Only S, or a matrix more
+    than half full, is ever held dense.
     """
-    nrows, ncols = a.shape
-    flat = np.flatnonzero(a.astype(bool))  # astype: 3x faster than != 0 on Fractions
-    if not flat.size:
+    if not vals.size:
         return 0
-    rows, cols = np.divmod(flat, ncols)
     piv, lead, rest = _structural_pivots(rows, cols)
     by_col = np.argsort(cols, kind="stable")
     t_piv, t_lead, t_rest = _structural_pivots(cols[by_col], rows[by_col])
-    lines = a
+    del by_col  # free it before the Schur complement's peak
     if t_piv.size > piv.size:
         piv, lead, rest, rows, cols, nrows, ncols = t_piv, t_lead, t_rest, cols, rows, ncols, nrows
-        lines = a.T
     k = len(piv)
     if not rest.size:
         # the pivot lines, sorted by leading index, are already in echelon form
@@ -384,49 +419,64 @@ def _rank(a, field, owned):
     # A matrix more than half full has few structural pivots, and each level
     # of the recursion would peel off only those few at a fixed cost, so it is
     # eliminated directly.
-    if 2 * flat.size > a.size:
-        del flat, rows, cols, by_col  # free the coordinates before the elimination's peak
-        return len(_eliminate(np.asarray(a, field.dtype) if owned else np.array(a, field.dtype),
-                              field, full=False))
+    if 2 * vals.size > nrows * ncols:
+        a = field.zeros((nrows, ncols))
+        a[rows, cols] = vals
+        return len(_eliminate(a, field, full=False))
     # number the pivot lines, then the rest; the pivot columns, then the others
     live = np.zeros(ncols, bool)
     live[cols] = True
     live[lead] = False
     row_order, col_order = np.concatenate([piv, rest]), np.concatenate([lead, np.flatnonzero(live)])
+    row_at = np.empty(nrows, np.int64)
+    row_at[row_order] = np.arange(row_order.size)
+    col_at = np.empty(ncols, np.int64)
+    col_at[col_order] = np.arange(col_order.size)
     p = field.characteristic
     # Exactness: every float64 product in `_schur_complement` is at most
     # (p - 1)**2 and every sum has at most k terms, so with
     # k·(p−1)² + p <= 2**53 all partial sums and the reductions in `_mod` are
     # exact integers.
     if p and k * (p - 1) ** 2 + p <= 2**53:
-        row_at = np.empty(nrows, np.int64)
-        row_at[row_order] = np.arange(row_order.size)
-        col_at = np.empty(ncols, np.int64)
-        col_at[col_order] = np.arange(col_order.size)
-        schur = _schur_complement(np.take(a, flat).astype(np.float64), row_at[rows], col_at[cols],
-                                  k, rest.size, col_order.size - k, p)
+        schur = _schur_complement(vals.astype(np.float64), row_at[rows], col_at[cols], k,
+                                  rest.size, col_order.size - k, p)
     else:
-        # one gather in block order; rows then columns would hold two copies
-        schur = _exact_schur_complement(lines[np.ix_(row_order, col_order)], k, field)
-    return k + _rank(schur, field, owned=True)
+        g = field.zeros((row_order.size, col_order.size))
+        g[row_at[rows], col_at[cols]] = vals
+        schur = _exact_schur_complement(g, k, field)
+    return k + _schur_rank(schur, field)
+
+
+def _schur_rank(s, field):
+    """Rank of a dense Schur complement.  More than half full, it goes straight
+    to `_eliminate`: its coordinates would take four times its size."""
+    nonzero = s.astype(bool)  # astype: 3x faster than != 0 on Fractions
+    if 2 * np.count_nonzero(nonzero) > s.size:
+        return len(_eliminate(np.asarray(s, field.dtype), field, full=False))
+    return _rank(*_coordinates(s, nonzero, field), *s.shape, field)
 
 
 def rank_of_rows(rows, ncols, field):
-    """Rank of a stack of coefficient rows (an array or a list of rows).
+    """Rank of a stack of coefficient rows: `SparseRows`, an array, or a list
+    of rows.
 
-    `rows` is never modified.  An int64 array already reduced into [0, p) is
-    read in place; anything else goes through `field.array` first.  The rank
-    is k, the number of structural pivots, plus the rank of their Schur
-    complement: in float64 over GF(p) with k·(p−1)² + p <= 2⁵³, in the field
-    over QQ and past the bound (always for GF(1073741789)).  A matrix more
-    than half full comes from `_eliminate`, unless the structural pivots
-    already account for every nonzero line.
+    `rows` is never modified.  `SparseRows` are ranked from their coordinates
+    as they are.  An int64 array already reduced into [0, p) is read in
+    place, anything else goes through `field.array` first, and either is
+    scanned once for its coordinates.  The rank is k, the number of
+    structural pivots, plus the rank of their Schur complement: in float64
+    over GF(p) with k·(p−1)² + p <= 2⁵³, in the field over QQ and past the
+    bound (always for GF(1073741789)).  A matrix more than half full comes
+    from `_eliminate`, unless the structural pivots already account for every
+    nonzero line.
     """
+    if isinstance(rows, SparseRows):
+        return _rank(rows.rows, rows.cols, rows.vals, len(rows), ncols, field)
     p = field.characteristic
-    if (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+    if not (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
             and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
-        return _rank(rows, field, owned=False)
-    return _rank(field.array(rows, ncols), field, owned=True)
+        rows = field.array(rows, ncols)
+    return _rank(*_coordinates(rows, rows.astype(bool), field), *rows.shape, field)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ formulas it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -29,7 +30,7 @@ from .errors import (
     NonHomogeneousError,
     PreconditionError,
 )
-from .exactalg import Accumulator, RowBasis, rank_of_rows, same_field
+from .exactalg import Accumulator, RowBasis, SparseRows, rank_of_rows, same_field
 from .formulas import BettiTable
 from .polyring import (
     Polynomial,
@@ -124,6 +125,7 @@ class GradedQuotient:
         self.bound = max(self.bases) if self.bases else -1
         self._classes = {}
         self._mult = {}
+        self._mult_nonzeros = {}
 
     def _within_bound(self, j):
         """Is degree j computed? Past the bound only if R/I already vanished there."""
@@ -180,6 +182,18 @@ class GradedQuotient:
             self._mult[key] = target[shift[list(self.bases[j].support)]].T.copy()
         return self._mult[key]
 
+    def mult_nonzeros(self, j):
+        """The nonzeros of the maps `mult_variable(v, j)` side by side,
+        [x_0 | x_1 | ... ], row by row: their rows, variables, columns within
+        the variable's block, values and negated values."""
+        if j not in self._mult_nonzeros:
+            stacked = np.hstack([self.mult_variable(v, j) for v in range(self.nvars)])
+            rows, at = np.nonzero(stacked)
+            var, cols = np.divmod(at, self.hf(j))
+            vals = stacked[rows, at]
+            self._mult_nonzeros[j] = rows, var, cols, vals, self.field.reduce(-vals)
+        return self._mult_nonzeros[j]
+
     def products_class_matrix(self, g, k, monos=None):
         """Rows = class of (m * g) in degree k + deg g, m over the degree-k
         monomials, or over those at the positions `monos` when given."""
@@ -226,29 +240,6 @@ def ideal_slices(gens, nvars=None, field=None, max_degree=None):
                 bases[k] = RowBasis.full(len(monomials_of_degree(nvars, k)), field)
             break
     return GradedQuotient(nvars, field, bases)
-
-
-@dataclass
-class QuotientHilbert:
-    values: list
-    artinian: bool
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def quotient_hilbert(gens, nvars=None, field=None, max_degree=None):
-    """Exact Hilbert function of R/(gens); reports whether the quotient vanished.
-
-    Non-Artinian quotients (detected or structural) are returned with the
-    values computed up to the bound and artinian=False.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    nvars, field = _infer_ring(gens, nvars, field)
-    if max_degree is None:
-        max_degree = default_artinian_bound(gens) if len(gens) >= nvars else nvars
-    quot = ideal_slices(gens, nvars, field, max_degree)
-    return QuotientHilbert(quot.hilbert(), quot.artinian)
 
 
 def quotient_model(source, nvars=None, field=None):
@@ -309,29 +300,51 @@ def minimal_generators(ideal):
 # Betti numbers as Koszul homology
 
 
-def _koszul_differential_rank(quot, i, j):
-    """Rank of the degree-j piece of the i-th Koszul differential over R/I."""
+@lru_cache(maxsize=None)
+def _koszul_layout(n, i):
+    """The blocks of the i-th Koszul differential on n variables, one row per
+    (i-1)-subset T (row block) and one column per variable v: is v outside T,
+    the index of T + {v} among the i-subsets (column block), and is the sign
+    of x_v there odd, v at an odd position of T + {v}.  Subsets are indexed
+    in `combinations` order, in which T + {v} grows with v."""
+    index = {S: b for b, S in enumerate(combinations(range(n), i))}
+    lows = list(combinations(range(n), i - 1))
+    outside = np.zeros((len(lows), n), bool)
+    hi = np.zeros((len(lows), n), np.int64)
+    odd = np.zeros((len(lows), n), bool)
+    for rb, T in enumerate(lows):
+        for v in set(range(n)) - set(T):
+            S = tuple(sorted(T + (v,)))
+            outside[rb, v], hi[rb, v], odd[rb, v] = True, index[S], S.index(v) % 2
+    return outside, hi, odd
+
+
+def _koszul_differential(quot, i, j):
+    """The degree-j piece of the i-th Koszul differential over R/I as
+    `SparseRows`, or None when it is empty.  Row block T, an (i-1)-subset of
+    the variables, times R/I in degree j-i+1 meets column block T + {v} times
+    degree j-i in ±x_v.  The nonzeros of every x_v (`mult_nonzeros`) are
+    already in row order, and within a row block T + {v} grows with v, so
+    offsetting them block by block emits the coordinates sorted."""
     n = quot.nvars
     if i < 1 or i > n:
-        return 0
-    h0 = quot.hf(j - i)
-    h1 = quot.hf(j - i + 1)
+        return None
+    d = j - i
+    h0, h1 = quot.hf(d), quot.hf(d + 1)
     if h0 == 0 or h1 == 0:
-        return 0
-    subs_lo = {S: b for b, S in enumerate(combinations(range(n), i - 1))}
-    subs_hi = list(combinations(range(n), i))
-    ncols = len(subs_hi) * h0
-    nrows = len(subs_lo) * h1
-    field = quot.field
-    mat = field.zeros((nrows, ncols))
-    for b, S in enumerate(subs_hi):
-        for k, v in enumerate(S):
-            rb = subs_lo[S[:k] + S[k + 1:]]
-            block = quot.mult_variable(v, j - i)
-            if k % 2:
-                block = field.reduce(-block)
-            mat[rb * h1:(rb + 1) * h1, b * h0:(b + 1) * h0] = block
-    return rank_of_rows(mat, ncols, field)
+        return None
+    outside, hi, odd = _koszul_layout(n, i)
+    rows, var, cols, pos, neg = quot.mult_nonzeros(d)
+    block, at = np.nonzero(outside[:, var])
+    var = var[at]
+    return SparseRows(len(outside) * h1, block * h1 + rows[at], hi[block, var] * h0 + cols[at],
+                      np.where(odd[block, var], neg[at], pos[at]))
+
+
+def _koszul_differential_rank(quot, i, j):
+    """Rank of the degree-j piece of the i-th Koszul differential over R/I."""
+    mat = _koszul_differential(quot, i, j)
+    return 0 if mat is None else rank_of_rows(mat, comb(quot.nvars, i) * quot.hf(j - i), quot.field)
 
 
 def betti_from_quotient(quot):

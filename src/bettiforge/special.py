@@ -26,7 +26,6 @@ from .resolver import (
     ideal_slices,
     linked_ideal,
     membership,
-    quotient_hilbert,
     rank_of_rows,
     socle_dims,
 )
@@ -179,13 +178,13 @@ def check_xn_regular(ds, field=None):
     points = enumerate_point_set(ds)
     ds.require_minimal()
     red_gens = power_ideal(reduced.degrees, e, QQ)
-    red = quotient_hilbert(red_gens, n - 1, QQ)
-    if not red.artinian or sum(red.values) != points.count:
+    red = ideal_slices(red_gens, n - 1, QQ)
+    if not red.artinian or sum(red.hilbert()) != points.count:
         raise ConsistencyError("reduction multiplicity does not match the point count")
 
     tau = reduced.variable_sum
-    grid_expected = quotient_hilbert(red_gens[:-1], n - 1, QQ)
-    if not grid_expected.artinian or sum(grid_expected.values) != prod(reduced.degrees):
+    grid_expected = ideal_slices(red_gens[:-1], n - 1, QQ)
+    if not grid_expected.artinian or sum(grid_expected.hilbert()) != prod(reduced.degrees):
         raise ConsistencyError("grid reduction must have multiplicity prod(d_i)")
 
     fs, f_ell = _family_polys(reduced, field)
@@ -198,7 +197,7 @@ def check_xn_regular(ds, field=None):
 
     bound = max((t - 1) // 2, tau) + 1
     quot_j = ideal_slices(fs, n, field, max_degree=max(tau + 2, bound))
-    grid_vals = list(grid_expected.values) + [0] * (tau + 2)
+    grid_vals = grid_expected.hilbert() + [0] * (tau + 2)
     for j in range(tau + 2):
         if quot_j.hf(j) - quot_j.hf(j - 1) != grid_vals[j]:
             return False
@@ -217,7 +216,7 @@ def check_xn_regular(ds, field=None):
                 rank_cache[key] = rank_of_rows(mat, h, field) if h else 0
         return rank_cache[key]
 
-    red_vals = list(red.values) + [0] * (bound + 1)
+    red_vals = red.hilbert() + [0] * (bound + 1)
     hf_i = [quot_j.hf(j) - image_rank(f_ell, j - e) for j in range(bound + 1)]
     for j in range(bound + 1):
         prev = hf_i[j - 1] if j else 0
@@ -405,6 +404,9 @@ def random_generic_level_spotcheck(nvars, degrees, seed, retries=8):
         raise PreconditionError("need n+1 form degrees")
     if 2 not in degrees:
         raise PreconditionError("at least one generator must be a quadric")
+    if min(degrees) < 1:
+        # a constant form generates the unit ideal, whose Hilbert function no draw matches
+        raise PreconditionError("form degrees must be at least 1")
     field = GF_PARANOIA
     rng = random.Random(seed)
     expected = froberg_series(nvars, degrees).coefficients

@@ -1,7 +1,7 @@
 """Shared builders for the test suite: cached oracle runs and sweeps."""
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from bettiforge import (
     GF_DEFAULT,
@@ -96,3 +96,22 @@ def renamed_oracle_table(ds, kind):
     multiset of variable degrees.
     """
     return oracle_table(ds.nvars, tuple(sorted(ds.degrees)), ds.ell_power, kind)
+
+
+def dense_koszul_differential(quot, i, j):
+    """The degree-j piece of the i-th Koszul differential over R/I as a dense
+    field array, block by block: block (S minus v, S) is x_v, negated at odd
+    positions of v in S."""
+    n, field = quot.nvars, quot.field
+    h0, h1 = quot.hf(j - i), quot.hf(j - i + 1)
+    subs_lo = {S: b for b, S in enumerate(combinations(range(n), i - 1))}
+    subs_hi = list(combinations(range(n), i))
+    mat = field.zeros((len(subs_lo) * h1, len(subs_hi) * h0))
+    for b, S in enumerate(subs_hi):
+        for k, v in enumerate(S):
+            rb = subs_lo[S[:k] + S[k + 1:]]
+            block = quot.mult_variable(v, j - i)
+            if k % 2:
+                block = field.reduce(-block)
+            mat[rb * h1:(rb + 1) * h1, b * h0:(b + 1) * h0] = block
+    return mat

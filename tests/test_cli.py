@@ -58,6 +58,33 @@ def test_check_generic_level_takes_no_field(capsys):
     assert "unrecognized arguments: --field rational" in capsys.readouterr().err
 
 
+def test_check_generic_level_refuses_a_constant_form(capsys):
+    argv = ["check", "generic-level", "--nvars", "1", "--degrees", "0,2", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: form degrees must be at least 1\n"
+
+
+def test_check_point_set_takes_no_field(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["check", "point-set", "-h"]) == 0
+    assert capsys.readouterr().out == (
+        "usage: bettiforge check point-set [-h] --degrees DEGREES\n"
+        "                                  [--ell-power ELL_POWER]\n"
+        "                                  [--format {text,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --degrees DEGREES     comma-separated variable powers d1,..,dn\n"
+        "  --ell-power ELL_POWER\n"
+        "                        power of the linear form x1+..+xn\n"
+        "  --format {text,json,csv}\n")
+    argv = ["check", "point-set", "--degrees", "2,2", "--ell-power", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+    assert main(argv + ["--field", "x"]) == 1
+    assert "unrecognized arguments: --field x" in capsys.readouterr().err
+
+
 LINKED_COMMANDS = [["betti", "oracle", "--colon"], ["colon"], ["lefschetz", "--colon"]]
 
 

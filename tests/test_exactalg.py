@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bettiforge
@@ -22,6 +22,7 @@ from bettiforge.exactalg import (
     DEFAULT_PRIME,
     Accumulator,
     RowBasis,
+    SparseRows,
     _eliminate,
     _mod,
     _sub_mod,
@@ -338,6 +339,32 @@ def test_structural_rank_matches_elimination(a):
         if p:
             # the same residues, written with negative entries and entries >= p
             assert rank_of_rows(a + p * (np.arange(a.size).reshape(a.shape) % 3 - 1), ncols, field) == want
+
+
+full_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1)).map(
+    lambda args: np.random.default_rng(args[2]).integers(1, 5, args[:2])
+    * (np.random.default_rng(args[2] + 1).random(args[:2]) < 0.8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(branch_matrices(), full_matrices))
+@example(np.zeros((0, 0), dtype=np.int64))  # empty
+@example(np.zeros((3, 0), dtype=np.int64))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((3, 4), dtype=np.int64))  # all zero
+@example(np.tril(np.arange(1, 26).reshape(5, 5)))  # an echelon block only on the columns
+@example(np.array([[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2]]))  # more than half full
+def test_sparse_rows_rank_matches_dense_rank(a):
+    nrows, ncols = a.shape
+    for field in RANK_FIELDS:
+        dense = field.array(a, ncols)
+        rows, cols = np.nonzero(dense.astype(bool))
+        sparse = SparseRows(nrows, rows, cols, dense[rows, cols])
+        # a length and rows of nonzero values, as a list of rows has
+        assert len(sparse) == nrows
+        assert [np.count_nonzero(r) for r in sparse] == np.count_nonzero(dense, axis=1).tolist()
+        want = _eliminated_rank(a, ncols, field)
+        assert rank_of_rows(sparse, ncols, field) == rank_of_rows(dense, ncols, field) == want
 
 
 def test_structural_rank_across_blocks():

@@ -8,6 +8,7 @@ from bettiforge import (
     DegreeSequence,
     Polynomial,
     betti_aci_odd,
+    betti_from_quotient,
     colon_ideal,
     gorenstein_linked_hilbert,
     ideal_slices,
@@ -19,17 +20,16 @@ from bettiforge import (
     monomials_of_degree,
     parse_polynomial,
     power_of_linear,
-    quotient_hilbert,
     series_numerator,
     socle_dims,
     syzygies_in_degree,
 )
 from bettiforge.errors import NonArtinianError, PreconditionError
-from bettiforge import exactalg
-from bettiforge.exactalg import rank_of_rows
+from bettiforge import exactalg, resolver
+from bettiforge.exactalg import SparseRows, rank_of_rows
 from bettiforge.polyring import macaulay_columns, monomial_index, monomial_mul, power_ideal
 
-from helpers import FIELDS, odd_parity_sweep, oracle_table
+from helpers import FIELDS, dense_koszul_differential, odd_parity_sweep, oracle_table
 
 
 def vp(i, d, n, field=QQ):
@@ -41,20 +41,20 @@ def ell_power(n, e, field=QQ):
 
 
 def test_quotient_hilbert_two_squares():
-    assert quotient_hilbert([vp(0, 2, 2), vp(1, 2, 2)]).values == [1, 2, 1]
+    assert ideal_slices([vp(0, 2, 2), vp(1, 2, 2)]).hilbert() == [1, 2, 1]
 
 
 def test_quotient_hilbert_quadrics_and_ell():
     gens = [vp(i, 2, 3) for i in range(3)] + [ell_power(3, 2)]
-    res = quotient_hilbert(gens)
+    res = ideal_slices(gens)
     # hand expansion: (1-T^2)^4/(1-T)^3 = 1 + 3T + 2T^2 - ...
-    assert res.values == [1, 3, 2] and res.artinian
+    assert res.hilbert() == [1, 3, 2] and res.artinian
 
 
 def test_quotient_hilbert_empty_is_open():
-    res = quotient_hilbert([], nvars=2, field=QQ)
+    res = ideal_slices([], nvars=2, field=QQ, max_degree=2)
     assert not res.artinian
-    assert res.values[:3] == [1, 2, 3]
+    assert res.hilbert() == [1, 2, 3]
 
 
 def test_slices_match_macaulay_rank():
@@ -210,7 +210,7 @@ def test_oracle_alternating_sums_match_hilbert():
         n, degs, e = args
         gens = power_ideal(degs, e, GF_DEFAULT)
         table = oracle_table(n, degs, e, "aci")
-        series = quotient_hilbert(gens).values
+        series = ideal_slices(gens).hilbert()
         want = series_numerator(series, n)
         assert table.alternating_numerator() == {j: v for j, v in enumerate(want) if v}
 
@@ -303,10 +303,10 @@ def test_float_and_exact_rank_kernels_agree_on_koszul_matrices(monkeypatch):
     # QQ some reach a nonzero Schur complement formed in the field
     schur, exact = [], set()
 
-    def spy(a, field, owned):
-        if a.dtype == np.float64 and np.count_nonzero(a):
-            schur.append(a.shape)
-        return rank(a, field, owned)
+    def spy(s, field):
+        if s.dtype == np.float64 and np.count_nonzero(s):
+            schur.append(s.shape)
+        return schur_rank(s, field)
 
     def exact_spy(g, k, field):
         s = exact_schur(g, k, field)
@@ -314,11 +314,45 @@ def test_float_and_exact_rank_kernels_agree_on_koszul_matrices(monkeypatch):
             exact.add(field)
         return s
 
-    rank, exact_schur = exactalg._rank, exactalg._exact_schur_complement
-    monkeypatch.setattr(exactalg, "_rank", spy)
+    schur_rank, exact_schur = exactalg._schur_rank, exactalg._exact_schur_complement
+    monkeypatch.setattr(exactalg, "_schur_rank", spy)
     monkeypatch.setattr(exactalg, "_exact_schur_complement", exact_spy)
     tables = [minimal_betti_oracle(power_ideal((3, 3, 3, 3), 4, f))
               for f in (GF_DEFAULT, GF_PARANOIA, QQ)]
     assert schur
     assert exact == {GF_PARANOIA, QQ}
     assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("field", list(FIELDS.values()), ids=list(FIELDS))
+@pytest.mark.parametrize("degrees,e", [((2, 3), 2), ((2, 2, 3), 2), ((3, 3, 3), 3),
+                                       ((2, 2, 3, 3), 2)])
+def test_koszul_coordinates_match_the_dense_blocks(field, degrees, e):
+    quot = ideal_slices(power_ideal(degrees, e, field))
+    n, s = quot.nvars, quot.socle_degree
+    for i in range(1, n + 1):
+        for j in range(i, i + s + 1):
+            dense = dense_koszul_differential(quot, i, j)
+            mat = resolver._koszul_differential(quot, i, j)
+            if mat is None:
+                assert not dense.size, (i, j)
+                continue
+            assert len(mat) == dense.shape[0]
+            rows, cols = np.nonzero(dense.astype(bool))
+            assert mat.rows.tolist() == rows.tolist(), (i, j)
+            assert mat.cols.tolist() == cols.tolist(), (i, j)
+            assert mat.vals.tolist() == dense[rows, cols].tolist(), (i, j)
+
+
+def test_koszul_ranks_never_see_a_dense_matrix(monkeypatch):
+    seen = []
+
+    def spy(rows, ncols, field):
+        seen.append(type(rows))
+        return rank_of_rows(rows, ncols, field)
+
+    monkeypatch.setattr(resolver, "rank_of_rows", spy)
+    for field in FIELDS.values():
+        minimal_betti_oracle(power_ideal((3, 3, 3), 2, field))
+        betti_from_quotient(linked_ideal(DegreeSequence(3, (2, 3, 3), 3), field))
+    assert seen and set(seen) == {SparseRows}

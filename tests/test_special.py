@@ -214,3 +214,5 @@ def test_spotcheck_preconditions():
         random_generic_level_spotcheck(3, (3, 3, 3, 3), seed=0)
     with pytest.raises(PreconditionError):
         random_generic_level_spotcheck(3, (2, 2, 2), seed=0)
+    with pytest.raises(PreconditionError, match="at least 1"):
+        random_generic_level_spotcheck(1, (0, 2), seed=1)
