@@ -129,7 +129,7 @@ class LefschetzReport:
         return self.verdict in ("SLP", "WLP")
 
 
-def lefschetz_check(source, ell=None, mode="SLP", nvars=None, field=None):
+def lefschetz_check(source, ell=None, mode="SLP"):
     """Rank every multiplication map by powers of the candidate linear form.
 
     SLP mode checks all powers j >= 1 with i + j inside the socle range, WLP
@@ -140,7 +140,7 @@ def lefschetz_check(source, ell=None, mode="SLP", nvars=None, field=None):
         raise PreconditionError("mode must be SLP or WLP")
     if ell is not None and (ell.is_zero() or not ell.is_homogeneous(1)):
         raise PreconditionError("the Lefschetz element must be a nonzero linear form")
-    quot = quotient_model(source, nvars, field)
+    quot = quotient_model(source)
     if not quot.artinian:
         raise NonArtinianError("Lefschetz checks need an Artinian quotient")
     n, fld = quot.nvars, quot.field
@@ -170,21 +170,20 @@ def lefschetz_check(source, ell=None, mode="SLP", nvars=None, field=None):
     return LefschetzReport(ell, mode, checks, verdict)
 
 
-def semiregularity_check(gens, max_degree=None):
+def semiregularity_check(gens):
     """Does each form multiply with maximal rank on the quotient by its predecessors?
 
-    Verified degree by degree up to `max_degree` (default: the top degree of
-    the full Artinian quotient plus the largest generator degree).  A failure
-    is always genuine; a pass certifies the range checked.
+    Verified degree by degree up to the top degree of the full Artinian
+    quotient plus the largest generator degree.  A failure is always genuine;
+    a pass certifies the range checked.
     """
     gens = list(gens)
     if not gens:
         return True
     nvars = gens[0].nvars
     field = gens[0].field
-    if max_degree is None:
-        max_degree = sum(g.homogeneous_degree() - 1 for g in gens) + \
-            max(g.homogeneous_degree() for g in gens) + 1
+    max_degree = sum(g.homogeneous_degree() - 1 for g in gens) + \
+        max(g.homogeneous_degree() for g in gens) + 1
     for k, g in enumerate(gens):
         d = g.homogeneous_degree()
         quot = ideal_slices(gens[:k], nvars, field, max_degree)

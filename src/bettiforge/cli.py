@@ -2,9 +2,10 @@
 tables and series as text, JSON, or CSV.
 
 Commands are declared in one table, `COMMANDS` (words, handler, fixed values,
-arguments), with shared arguments once in `SHARED`. `main` builds a parser per
-call that registers every command word but gives arguments only to the
-command argv names.
+arguments), with shared arguments once in `SHARED`. A row declares exactly the
+arguments its handler reads for it (a test checks this). `main` builds a parser
+per call that builds a group's commands only when argv names that group, and
+gives arguments only to the command argv names.
 
 Exit codes: 0 success, 1 precondition/usage error, 2 internal-consistency
 failure (including --verify mismatches).
@@ -147,23 +148,20 @@ def _diff_tables(formula, oracle):
 
 
 def _cmd_hilbert(args):
-    fmt = args.format
     if args.kind == "ci":
         degrees = _parse_degrees(args.degrees)
         series = ci_hilbert(degrees)
         extra = {"peak": list(ci_peak_interval(degrees))}
-        print(render_series(series, fmt, extra))
     elif args.kind == "froberg":
         degrees = _parse_degrees(args.degrees)
-        nvars = args.nvars or len(degrees)
-        fro = froberg_series(nvars, degrees)
+        fro = froberg_series(len(degrees) if args.nvars is None else args.nvars, degrees)
+        series = fro.coefficients
         extra = {"first_nonpositive": fro.first_nonpositive,
                  "socle_degree": fro.socle_degree}
-        print(render_series(fro.coefficients, fmt, extra))
     else:
-        ds = _degree_sequence(args)
-        series = gorenstein_linked_hilbert(ds)
-        print(render_series(series, fmt, {"socle_degree": len(series) - 1}))
+        series = gorenstein_linked_hilbert(_degree_sequence(args))
+        extra = {"socle_degree": len(series) - 1}
+    print(render_series(series, args.format, extra))
     return 0
 
 
@@ -172,6 +170,8 @@ def _cmd_betti(args):
     fmt = args.format
     if args.mode == "oracle":
         if args.gens:
+            if args.degrees is not None or args.ell_power is not None or args.colon:
+                raise PreconditionError("--gens takes no --degrees, --ell-power or --colon")
             gens = [parse_polynomial(g, nvars=args.nvars, field=field,
                                      require_homogeneous=True)
                     for g in args.gens.split(";")]
@@ -179,9 +179,10 @@ def _cmd_betti(args):
             gens = [Polynomial(nvars, field, {(m + (0,) * (nvars - g.nvars)): c
                                               for m, c in g.coeffs.items()})
                     for g in gens]
-            table = minimal_betti_oracle(gens, nvars, field)
-            print(emit_table(table, nvars, fmt))
+            print(emit_table(minimal_betti_oracle(gens), nvars, fmt))
             return 0
+        if args.nvars is not None:
+            raise PreconditionError("--nvars needs --gens")
         ds = _degree_sequence(args)
         table = _oracle_table(ds, field, args.colon)
         print(emit_table(table, ds.nvars, fmt))
@@ -264,8 +265,7 @@ def _cmd_lefschetz(args):
     if args.ell:
         ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field,
                                require_homogeneous=True)
-    report = lefschetz_check(source, ell=ell, mode=args.mode.upper(),
-                             nvars=ds.nvars, field=field)
+    report = lefschetz_check(source, ell=ell, mode=args.mode.upper())
     if args.format == "json":
         print(json.dumps({
             "verdict": report.verdict,
@@ -281,6 +281,8 @@ def _cmd_lefschetz(args):
 
 def _cmd_check(args):
     if args.kind == "generic-level":
+        if args.draws < 1:
+            raise PreconditionError("--draws must be at least 1")
         degrees = _parse_degrees(args.degrees)
         ok = all(random_generic_level_spotcheck(args.nvars, degrees, args.seed + k)
                  for k in range(args.draws))
@@ -304,7 +306,7 @@ def _cmd_check(args):
     normalized, _, reduced = ds.split_quadric()
     reduced.require_odd()
     gens = power_ideal(normalized.degrees, normalized.ell_power, field)
-    dmax = args.max_degree or 2 * max(ds.all_degrees()) + 2
+    dmax = 2 * max(ds.all_degrees()) + 2 if args.max_degree is None else args.max_degree
     total = 0
     for j in range(2, dmax + 1):
         for rel in syzygies_in_degree(gens, j):
@@ -328,16 +330,21 @@ SHARED = {
     "--nvars": {"type": int},
 }
 # the arguments of a request on (x_1^d_1, .., x_n^d_n, ell^e)
-IDEAL = ("--degrees", "--ell-power", "--field", "--format")
+RING = ("--degrees", "--ell-power", "--field")
+IDEAL = RING + ("--format",)
+TEXT_OR_JSON = ("--format", {"choices": ("text", "json")})
 VERIFY = ("--verify", {"action": "store_true",
                        "help": "recompute through the resolution oracle and diff"})
+ESYM = (("--nvars", {"required": True}), ("--d", {"type": int, "required": True}))
 
 # the words that take a subcommand: the dest it is stored in, and the word's help line
 GROUPS = {
     (): ("command", None),
+    ("hilbert",): ("kind", "Hilbert series of the standard quotients"),
     ("betti",): ("group", "graded Betti tables, closed form or oracle"),
     ("betti", "formula"): ("mode", "closed-form tables, dispatched on the parity of "
                                    "T = sum over all n+1 generators of (d_i - 1)"),
+    ("esym",): ("kind", "annihilator of an elementary symmetric polynomial"),
     ("check",): ("kind", "structural verifications"),
 }
 
@@ -345,9 +352,9 @@ GROUPS = {
 # handler (a GROUPS dest already holds the word), and its arguments in help
 # order, each a SHARED name or (name, add_argument keywords over SHARED's).
 COMMANDS = (
-    (("hilbert",), "Hilbert series of the standard quotients", _cmd_hilbert, {},
-     (("kind", {"choices": ("ci", "froberg", "linked")}),
-      "--degrees", "--ell-power", "--format", "--nvars")),
+    (("hilbert", "ci"), None, _cmd_hilbert, {}, ("--degrees", "--format")),
+    (("hilbert", "froberg"), None, _cmd_hilbert, {}, ("--degrees", "--format", "--nvars")),
+    (("hilbert", "linked"), None, _cmd_hilbert, {}, ("--degrees", "--ell-power", "--format")),
     (("betti", "formula", "aci"),
      "the ideal; odd T, or a square on any generator, ell^e included",
      _cmd_betti, {"target": "aci"}, IDEAL + (VERIFY,)),
@@ -367,17 +374,16 @@ COMMANDS = (
      IDEAL + (("--f", {"help": "colon by this polynomial instead of ell^e"}),)),
     (("annihilator",), "apolar ideal of a dual form", _cmd_annihilator, {},
      (("--form", {"required": True}), "--nvars", "--field", "--format")),
-    (("esym",), "annihilator of an elementary symmetric polynomial", _cmd_esym, {},
-     (("kind", {"choices": ("gens", "count")}), ("--nvars", {"required": True}),
-      ("--d", {"type": int, "required": True}), "--field", "--format")),
+    (("esym", "gens"), None, _cmd_esym, {}, ESYM + ("--field", TEXT_OR_JSON)),
+    (("esym", "count"), None, _cmd_esym, {}, ESYM),
     (("lefschetz",), "weak/strong Lefschetz rank check", _cmd_lefschetz, {},
-     IDEAL + (("--colon", {"action": "store_true"}),
-              ("--mode", {"choices": ("slp", "wlp"), "default": "slp"}),
-              ("--ell", {"help": "candidate linear form (default x1+..+xn)"}))),
-    (("check", "syzygy"), None, _cmd_check, {}, IDEAL + (("--max-degree", {"type": int}),)),
+     RING + (TEXT_OR_JSON, ("--colon", {"action": "store_true"}),
+             ("--mode", {"choices": ("slp", "wlp"), "default": "slp"}),
+             ("--ell", {"help": "candidate linear form (default x1+..+xn)"}))),
+    (("check", "syzygy"), None, _cmd_check, {}, RING + (("--max-degree", {"type": int}),)),
     # the point set is enumerated over QQ only
-    (("check", "point-set"), None, _cmd_check, {}, ("--degrees", "--ell-power", "--format")),
-    *((("check", kind), None, _cmd_check, {}, IDEAL) for kind in ("regular", "colon-plus")),
+    (("check", "point-set"), None, _cmd_check, {}, ("--degrees", "--ell-power")),
+    *((("check", kind), None, _cmd_check, {}, RING) for kind in ("regular", "colon-plus")),
     (("check", "generic-level"), None, _cmd_check, {},
      (("--nvars", {"required": True}),
       ("--degrees", {"help": "n+1 form degrees, one equal to 2"}),
@@ -386,7 +392,8 @@ COMMANDS = (
 
 
 def _parser(argv):
-    """Every command word, with arguments only on the command argv names.
+    """Every top-level word, a group's words only when argv names the group
+    (else the group holds None), and arguments only on the command argv names.
 
     The words before a command take no option with a value, so argv's leading
     non-option tokens are its command words.
@@ -400,10 +407,13 @@ def _parser(argv):
     for words, line, func, fixed, args in COMMANDS:
         for k in range(1, len(words)):
             group = words[:k]
-            if group not in subcommands:
+            if group not in subcommands and subcommands.get(group[:-1]) is not None:
                 dest, group_line = GROUPS[group]
                 sub = subcommands[group[:-1]].add_parser(group[-1], help=group_line)
-                subcommands[group] = sub.add_subparsers(dest=dest, required=True)
+                subcommands[group] = (sub.add_subparsers(dest=dest, required=True)
+                                      if tokens[:k] == group else None)
+        if subcommands.get(words[:-1]) is None:
+            continue
         leaf = subcommands[words[:-1]].add_parser(words[-1], **({"help": line} if line else {}))
         if tokens[:len(words)] == words:
             for arg in args:

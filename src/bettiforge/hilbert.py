@@ -102,6 +102,7 @@ def ci_hilbert(degrees):
     """Hilbert function of k[x_1..x_n]/(x_1^d1,..,x_n^dn): prod (1+T+..+T^(di-1))."""
     if len(degrees) < 1:
         raise PreconditionError("need at least one degree")
+    DegreeSequence(len(degrees), degrees)  # refuses degrees below 1
     series = [1]
     for d in degrees:
         out = [0] * (len(series) + d - 1)
@@ -142,6 +143,9 @@ def froberg_series(nvars, degrees, max_degree=None):
     """[prod (1 - T^di) / (1 - T)^nvars] truncated at the first non-positive coefficient."""
     if len(degrees) < 1:
         raise PreconditionError("need at least one form degree")
+    DegreeSequence(len(degrees), degrees)  # refuses degrees below 1
+    if nvars < 1:
+        raise PreconditionError("need at least one variable")
     if max_degree is None:
         max_degree = sum(d - 1 for d in degrees) + 1
     coeffs = [comb(nvars - 1 + j, nvars - 1) for j in range(max_degree + 1)]

@@ -209,7 +209,7 @@ class GradedQuotient:
         return self.products_class_matrix(g, j, self.bases[j].support).T.copy()
 
 
-def _infer_ring(gens, nvars, field):
+def _infer_ring(gens, nvars=None, field=None):
     if gens:
         nvars = gens[0].nvars
         field = same_field(*[g.field for g in gens])
@@ -242,11 +242,9 @@ def ideal_slices(gens, nvars=None, field=None, max_degree=None):
     return GradedQuotient(nvars, field, bases)
 
 
-def quotient_model(source, nvars=None, field=None):
+def quotient_model(source):
     """`source` itself when it is a GradedQuotient, else R/(source) for generators."""
-    if isinstance(source, GradedQuotient):
-        return source
-    return ideal_slices(source, nvars, field)
+    return source if isinstance(source, GradedQuotient) else ideal_slices(source)
 
 
 def _shifted_coordinates(prev, shift, coord, width, field):
@@ -371,10 +369,10 @@ def betti_from_quotient(quot):
     return table
 
 
-def minimal_betti_oracle(gens, nvars=None, field=None):
+def minimal_betti_oracle(gens):
     """Full graded Betti table of R/(gens) for an Artinian quotient."""
     gens = list(gens)
-    nvars, field = _infer_ring(gens, nvars, field)
+    nvars, field = _infer_ring(gens)
     if len(gens) < nvars:
         raise NonArtinianError("fewer generators than variables can never be Artinian")
     quot = ideal_slices(gens, nvars, field)
@@ -438,9 +436,9 @@ class SocleReport:
         return max(self.dims)
 
 
-def socle_dims(source, nvars=None, field=None):
+def socle_dims(source):
     """Per-degree dimensions of (0 : m) in the quotient, plus the levelness verdict."""
-    quot = quotient_model(source, nvars, field)
+    quot = quotient_model(source)
     s = quot.socle_degree
     n = quot.nvars
     dims = {}
@@ -477,7 +475,7 @@ def syzygies_in_degree(gens, j):
     `macaulay_columns` order) is 1.
     """
     gens = list(gens)
-    nvars, field = _infer_ring(gens, None, None)
+    nvars, field = _infer_ring(gens)
     cols = macaulay_columns(gens, j)
     kernel = _kernel_row_basis(macaulay_matrix(gens, j), len(cols), field)
     out = []
@@ -495,12 +493,12 @@ def syzygies_in_degree(gens, j):
     return out
 
 
-def membership(f, gens, nvars=None, field=None):
+def membership(f, gens):
     """Exact degreewise ideal membership for a homogeneous polynomial."""
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
     gens = [g for g in gens if not g.is_zero()]
-    nvars, field = _infer_ring(gens if gens else [f], nvars, field)
+    nvars, field = _infer_ring(gens or [f])
     basis = slice_at_degree(gens, d, nvars, field)
     return basis.contains(f.to_vector())

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, prod
 
 from .errors import ConsistencyError, PreconditionError, RetryExhausted
@@ -318,6 +318,14 @@ def _difference_product(pairs, extra, nvars, field):
     return out
 
 
+def _disjoint_pairs(free, count):
+    """Every set of `count` disjoint pairs (a, b), a < b, from the sorted tuple `free`."""
+    if count == 0:
+        return [()]
+    return [((a, b),) + rest for i, a in enumerate(free) for b in free[i + 1:]
+            for rest in _disjoint_pairs(tuple(v for v in free[i + 1:] if v != b), count - 1)]
+
+
 def _normalize_sign(poly):
     lead = poly.coeffs[poly.leading_monomial()]
     char = poly.field.characteristic
@@ -328,7 +336,9 @@ def _normalize_sign(poly):
 
 def esym_annihilator_generators(nvars, d, field=None):
     """Squares plus the symmetric orbit of a difference product generating the
-    annihilator of e_{n-d}; orbit shape depends on the parity of n + d.
+    annihilator of e_{n-d}: with m = n - d, the products of (m+1)/2 disjoint
+    differences x_a - x_b, times one further variable when m is even, each up to
+    sign.
 
     Each orbit element is checked against the colon ideal and the graded
     dimensions are matched in the two generating degrees.
@@ -338,21 +348,12 @@ def esym_annihilator_generators(nvars, d, field=None):
         raise PreconditionError("need 1 <= d <= n-1")
     m = nvars - d
     squares = [Polynomial.variable_power(i, 2, nvars, field) for i in range(nvars)]
-    if (nvars + d) % 2 == 1:
-        pairs = [(2 * k, 2 * k + 1) for k in range((m + 1) // 2)]
-        base = _difference_product(pairs, None, nvars, field)
-    else:
-        pairs = [(2 * k, 2 * k + 1) for k in range(m // 2)]
-        base = _difference_product(pairs, m, nvars, field)
-    seen = {}
-    for sigma in permutations(range(nvars)):
-        image = Polynomial(nvars, field, {
-            tuple(mono[sigma.index(v)] for v in range(nvars)): c
-            for mono, c in base.coeffs.items()})
-        image = _normalize_sign(image)
-        key = tuple(sorted(image.coeffs.items()))
-        seen.setdefault(key, image)
-    orbit = [seen[k] for k in sorted(seen)]
+    orbit = []
+    for pairs in _disjoint_pairs(tuple(range(nvars)), (m + 1) // 2):
+        used = {v for pair in pairs for v in pair}
+        extras = [v for v in range(nvars) if v not in used] if m % 2 == 0 else [None]
+        orbit += [_normalize_sign(_difference_product(pairs, v, nvars, field)) for v in extras]
+    orbit.sort(key=lambda g: sorted(g.coeffs.items()))
 
     ell_d = power_of_linear([1] * nvars, d, field)
     colon = colon_ideal(squares, ell_d)
@@ -395,7 +396,10 @@ def lattice_path_count(nvars, d):
     return comb(nvars, level) - comb(nvars, level + d)
 
 
-def random_generic_level_spotcheck(nvars, degrees, seed, retries=8):
+GENERIC_ATTEMPTS = 8
+
+
+def random_generic_level_spotcheck(nvars, degrees, seed):
     """Draw seeded random forms of the given degrees over the large prime field
     and test levelness, insisting on the truncated-series Hilbert function as a
     genericity witness (degenerate draws are retried)."""
@@ -410,7 +414,7 @@ def random_generic_level_spotcheck(nvars, degrees, seed, retries=8):
     field = GF_PARANOIA
     rng = random.Random(seed)
     expected = froberg_series(nvars, degrees).coefficients
-    for _ in range(retries):
+    for _ in range(GENERIC_ATTEMPTS):
         forms = []
         for deg in degrees:
             coeffs = {m: rng.randrange(field.p) for m in monomials_of_degree(nvars, deg)}
@@ -421,4 +425,4 @@ def random_generic_level_spotcheck(nvars, degrees, seed, retries=8):
         if not quot.artinian or tuple(quot.hilbert()) != expected:
             continue
         return socle_dims(quot).is_level
-    raise RetryExhausted(f"no generic draw within {retries} attempts (seed {seed})")
+    raise RetryExhausted(f"no generic draw within {GENERIC_ATTEMPTS} attempts (seed {seed})")

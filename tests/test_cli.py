@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import pytest
@@ -70,19 +72,19 @@ def test_check_point_set_takes_no_field(capsys, monkeypatch):
     assert capsys.readouterr().out == (
         "usage: bettiforge check point-set [-h] --degrees DEGREES\n"
         "                                  [--ell-power ELL_POWER]\n"
-        "                                  [--format {text,json,csv}]\n"
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
         "  --degrees DEGREES     comma-separated variable powers d1,..,dn\n"
         "  --ell-power ELL_POWER\n"
-        "                        power of the linear form x1+..+xn\n"
-        "  --format {text,json,csv}\n")
+        "                        power of the linear form x1+..+xn\n")
     argv = ["check", "point-set", "--degrees", "2,2", "--ell-power", "3"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2
     assert main(argv + ["--field", "x"]) == 1
     assert "unrecognized arguments: --field x" in capsys.readouterr().err
+    assert main(argv + ["--format", "csv"]) == 1
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 LINKED_COMMANDS = [["betti", "oracle", "--colon"], ["colon"], ["lefschetz", "--colon"]]
@@ -97,7 +99,11 @@ def test_linked_ideal_refuses_ell_power_inside_the_monomials(words, e, capsys):
     assert err == f"error: ell power {e} exceeds 2: the colon ideal is the unit ideal\n"
 
 
-@pytest.mark.parametrize("words", [c[0] for c in cli.COMMANDS], ids=" ".join)
+# every group and command word sequence, groups first
+WORDS = list(dict.fromkeys(c[0][:k] for c in cli.COMMANDS for k in range(1, len(c[0]) + 1)))
+
+
+@pytest.mark.parametrize("words", WORDS, ids=" ".join)
 def test_every_command_has_help(words, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(list(words) + ["-h"]) == 0
@@ -126,6 +132,125 @@ def test_only_the_named_command_gets_arguments():
     args, unknown = parser.parse_known_args(["hilbert", "--degrees", "2,2"])
     assert (args.command, unknown) == ("hilbert", ["--degrees", "2,2"])
     assert not hasattr(args, "degrees")
+
+
+def test_only_the_named_group_gets_its_commands():
+    argv = ["colon", "--degrees", "2,2", "--ell-power", "2"]
+    args, unknown = cli._parser(argv).parse_known_args(["hilbert", "ci", "--degrees", "2,2"])
+    assert (args.command, unknown) == ("hilbert", ["ci", "--degrees", "2,2"])
+    argv = ["hilbert", "ci", "--degrees", "2,2"]
+    assert cli._parser(argv).parse_args(argv).kind == "ci"
+
+
+def _branch(test, values):
+    """True or False for a test `args.<dest> == "word"` whose dest is in
+    `values`, else None."""
+    if (isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Eq)
+            and isinstance(test.left, ast.Attribute) and isinstance(test.left.value, ast.Name)
+            and test.left.value.id == "args" and test.left.attr in values):
+        return values[test.left.attr] == test.comparators[0].value
+    return None
+
+
+def _reads(stmts, values):
+    """The dests read as `args.<dest>` by these statements, also through a cli
+    helper they pass `args` to.  A branch on a dest in `values` is followed
+    only where it holds, and nothing after a taken branch that returns."""
+    out = set()
+    for stmt in stmts:
+        taken = _branch(stmt.test, values) if isinstance(stmt, ast.If) else None
+        if taken is not None:
+            block = stmt.body if taken else stmt.orelse
+            out |= _reads(block, values)
+            if block and isinstance(block[-1], ast.Return):
+                return out
+            continue
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                out.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+                    isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+                helper = getattr(cli, node.func.id)
+                out |= _reads(ast.parse(inspect.getsource(helper)).body[0].body, values)
+    return out
+
+
+@pytest.mark.parametrize("row", cli.COMMANDS, ids=lambda row: " ".join(row[0]))
+def test_every_declared_argument_is_read(row):
+    words, _, func, fixed, arguments = row
+    # the dest of each group along the words holds the next word
+    values = {cli.GROUPS[words[:k]][0]: words[k] for k in range(len(words))} | fixed
+    declared = {(a if isinstance(a, str) else a[0]).lstrip("-").replace("-", "_")
+                for a in arguments}
+    read = _reads(ast.parse(inspect.getsource(func)).body[0].body, values)
+    assert declared - read == set()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["hilbert", "ci", "--degrees", "2,2", "--ell-power", "7"], "unrecognized arguments: --ell-power 7"),
+    (["hilbert", "ci", "--degrees", "2,2", "--nvars", "9"], "unrecognized arguments: --nvars 9"),
+    (["hilbert", "froberg", "--degrees", "2,2", "--ell-power", "3"],
+     "unrecognized arguments: --ell-power 3"),
+    (["hilbert", "linked", "--degrees", "3,3", "--ell-power", "2", "--nvars", "2"],
+     "unrecognized arguments: --nvars 2"),
+    (["esym", "count", "--nvars", "5", "--d", "2", "--field", "bogus"],
+     "unrecognized arguments: --field bogus"),
+    (["esym", "count", "--nvars", "5", "--d", "2", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["check", "syzygy", "--degrees", "3,2,2", "--ell-power", "3", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["check", "regular", "--degrees", "3,3,2", "--ell-power", "2", "--format", "text"],
+     "unrecognized arguments: --format text"),
+    (["check", "colon-plus", "--degrees", "3,3,2", "--ell-power", "2", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["lefschetz", "--degrees", "2,2", "--format", "csv"],
+     "argument --format: invalid choice: 'csv'"),
+    (["esym", "gens", "--nvars", "3", "--d", "1", "--format", "csv"],
+     "argument --format: invalid choice: 'csv'"),
+    (["hilbert", "--degrees", "2,2", "ci"], "argument kind: invalid choice: '2,2'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_options_no_handler_reads_are_refused(argv, error, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: bettiforge ") and f": error: {error}" in err
+
+
+@pytest.mark.parametrize("extra", [["--degrees", "9,9"], ["--ell-power", "4"], ["--colon"]],
+                         ids=" ".join)
+def test_oracle_gens_refuse_the_ideal_options(extra, capsys):
+    assert main(["betti", "oracle", "--gens", "x1^2;x2^2;x1*x2"] + extra) == 1
+    assert capsys.readouterr() == (
+        "", "error: --gens takes no --degrees, --ell-power or --colon\n")
+
+
+def test_oracle_nvars_needs_gens(capsys):
+    assert main(["betti", "oracle", "--degrees", "2,2", "--ell-power", "2", "--nvars", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: --nvars needs --gens\n")
+
+
+def test_check_generic_level_needs_a_draw(capsys):
+    argv = ["check", "generic-level", "--nvars", "2", "--degrees", "2,2,2", "--seed", "0"]
+    assert main(argv + ["--draws", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: --draws must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["froberg", "--degrees", "2,2", "--nvars", "0"], "need at least one variable"),
+    (["froberg", "--degrees", "2,2", "--nvars", "-1"], "need at least one variable"),
+    (["froberg", "--degrees", "0,2"], "degrees must be >= 1"),
+    (["ci", "--degrees=-1,2"], "degrees must be >= 1"),
+], ids=" ".join)
+def test_hilbert_reads_numbers_as_given(argv, error, capsys):
+    assert main(["hilbert"] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_check_syzygy_reads_max_degree_zero_as_given(capsys):
+    argv = ["check", "syzygy", "--degrees", "2,2,2", "--ell-power", "2", "--max-degree", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "all 0 syzygy basis elements up to degree 0 pass\n"
 
 
 E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"

@@ -83,6 +83,20 @@ def test_froberg_five_quartics_four_vars():
     assert fro.first_nonpositive == 0
 
 
+@pytest.mark.parametrize("series", [ci_hilbert, lambda ds: froberg_series(2, ds)],
+                         ids=["ci", "froberg"])
+@pytest.mark.parametrize("degrees", [(0, 2), (-1, 2), (2, 3, 0)])
+def test_series_refuse_degrees_below_one(series, degrees):
+    with pytest.raises(PreconditionError, match="degrees must be >= 1"):
+        series(degrees)
+
+
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_froberg_needs_a_variable(nvars):
+    with pytest.raises(PreconditionError, match="need at least one variable"):
+        froberg_series(nvars, (2, 2))
+
+
 def test_froberg_single_linear_form():
     # one linear form: the series is that of one variable fewer, never truncated
     fro = froberg_series(3, (1,), max_degree=5)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from bettiforge import (
@@ -5,15 +7,19 @@ from bettiforge import (
     QQ,
     DegreeSequence,
     Polynomial,
+    annihilator,
     build_lifted_family,
     check_colon_equals_plus,
     check_syzygy_property,
     check_xn_regular,
     colon_ideal,
+    elementary_symmetric,
     enumerate_point_set,
     esym_annihilator_generators,
     gorenstein_linked_hilbert,
+    ideal_slices,
     lattice_path_count,
+    minimal_generators,
     power_ideal,
     random_generic_level_spotcheck,
     sqfree_leading_set,
@@ -21,6 +27,7 @@ from bettiforge import (
 )
 from bettiforge.errors import ParityError, PreconditionError
 from bettiforge.exactalg import Accumulator
+from bettiforge.special import _difference_product, _normalize_sign
 
 
 def vp(i, d, n, field=QQ):
@@ -187,6 +194,42 @@ def test_esym_range_errors():
         esym_annihilator_generators(3, 3)
     with pytest.raises(PreconditionError):
         esym_annihilator_generators(3, 0)
+
+
+def _orbit_by_permutations(nvars, d, field):
+    """The difference-product orbit as the S_n walk over all n! permutations."""
+    m = nvars - d
+    pairs = [(2 * k, 2 * k + 1) for k in range((m + 1) // 2)]
+    base = _difference_product(pairs, None if m % 2 else m, nvars, field)
+    seen = {}
+    for sigma in permutations(range(nvars)):
+        image = _normalize_sign(Polynomial(nvars, field, {
+            tuple(mono[sigma.index(v)] for v in range(nvars)): c
+            for mono, c in base.coeffs.items()}))
+        seen.setdefault(tuple(sorted(image.coeffs.items())), image)
+    return [seen[k] for k in sorted(seen)]
+
+
+ESYM_PAIRS = [(n, d) for n in range(2, 7) for d in range(1, n)]
+
+
+@pytest.mark.parametrize("n,d", ESYM_PAIRS)
+def test_esym_orbit_matches_the_permutation_walk(n, d):
+    assert esym_annihilator_generators(n, d)[n:] == _orbit_by_permutations(n, d, QQ)
+
+
+@pytest.mark.parametrize("n,d", ESYM_PAIRS)
+def test_esym_generators_generate_the_annihilator(n, d):
+    # Ann(e_{n-d}) in every degree, with n + lattice_path_count(n, d) minimal
+    # generators; at d = n - 1 the orbit is linear and n - 1 squares are redundant
+    gens = esym_annihilator_generators(n, d, GF_DEFAULT)
+    ann = annihilator(elementary_symmetric(n, n - d, GF_DEFAULT))
+    generated = ideal_slices(gens, max_degree=ann.bound)
+    assert all(ann.contains(g) for g in gens)
+    assert [generated.dim(j) for j in range(ann.bound + 1)] == \
+        [ann.dim(j) for j in range(ann.bound + 1)]
+    squares = 1 if d == n - 1 else n
+    assert len(minimal_generators(ann)) == squares + lattice_path_count(n, d)
 
 
 def test_leading_set_examples():
