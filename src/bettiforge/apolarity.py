@@ -16,6 +16,7 @@ from .polyring import (
     monomial_index,
     monomials_of_degree,
     power_of_linear,
+    ring_of,
     standard_linear_form,
 )
 from .resolver import GradedQuotient, _kernel_row_basis, ideal_slices, quotient_model
@@ -86,13 +87,12 @@ def elementary_symmetric(nvars, k, field):
     return Polynomial(nvars, field, coeffs)
 
 
-def elementary_symmetric_dual(nvars, d, field=None):
+def elementary_symmetric_dual(nvars, d, field=QQ):
     """Contract the d-th power of x_1 + .. + x_n against x_1 ... x_n.
 
     The result must equal d! * e_{n-d}; both the symmetric form and the scalar
     are returned after the coefficientwise check.
     """
-    field = QQ if field is None else field
     if not 0 <= d <= nvars - 1:
         raise PreconditionError("need 0 <= d <= n-1 for a nonconstant contraction")
     _guard_characteristic(field, nvars)
@@ -178,15 +178,12 @@ def semiregularity_check(gens):
     a pass certifies the range checked.
     """
     gens = list(gens)
-    if not gens:
-        return True
-    nvars = gens[0].nvars
-    field = gens[0].field
+    nvars, field = ring_of(gens)
     max_degree = sum(g.homogeneous_degree() - 1 for g in gens) + \
         max(g.homogeneous_degree() for g in gens) + 1
     for k, g in enumerate(gens):
         d = g.homogeneous_degree()
-        quot = ideal_slices(gens[:k], nvars, field, max_degree)
+        quot = ideal_slices([Polynomial.zero(nvars, field), *gens[:k]], max_degree)
         for i in range(0, max_degree - d + 1):
             h0 = quot.hf(i)
             h1 = quot.hf(i + d)

@@ -265,7 +265,7 @@ def _cmd_lefschetz(args):
     if args.ell:
         ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field,
                                require_homogeneous=True)
-    report = lefschetz_check(source, ell=ell, mode=args.mode.upper())
+    report = lefschetz_check(source, ell=ell, mode=args.mode)
     if args.format == "json":
         print(json.dumps({
             "verdict": report.verdict,
@@ -314,6 +314,8 @@ def _cmd_check(args):
             if not check_syzygy_property(ds, rel):
                 print(f"syzygy in degree {j} fails the membership property")
                 return 2
+    if not total:
+        raise PreconditionError(f"no syzygy up to degree {dmax}: nothing to check")
     print(f"all {total} syzygy basis elements up to degree {dmax} pass")
     return 0
 

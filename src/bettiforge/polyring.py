@@ -10,6 +10,11 @@ Coefficients are the field's plain numbers (ints in [0, p) or Fractions, see
 coerces every value into the field and drops zeros, so the arithmetic below
 adds up raw Python products and hands them to the constructor.
 
+A generator list carries its own ring: `ring_of` reads (nvars, field) off the
+polynomials and refuses a list whose members do not share one, so no function
+that takes generators also takes a ring.  The zero ideal is written [0], the
+zero polynomial of its ring; an empty list has no ring.
+
 Macaulay matrices are plain field arrays, so `rank_of_rows` and `RowBasis`
 take them as they are.
 """
@@ -322,6 +327,17 @@ def power_ideal(degrees, ell_power, field):
     return gens
 
 
+def ring_of(gens):
+    """(nvars, field) of a non-empty list of homogeneous polynomials sharing one ring."""
+    if not gens:
+        raise PreconditionError("an empty generator list has no ring; "
+                                "the zero ideal is generated by the zero polynomial")
+    for g in gens:
+        gens[0]._check_ring(g)
+        g.homogeneous_degree()
+    return gens[0].nvars, gens[0].field
+
+
 def macaulay_columns(generators, j):
     """Column labels (generator index, shifting monomial) of the degree-j Macaulay matrix."""
     cols = []
@@ -340,22 +356,13 @@ def term_exponents(g):
     return terms, list(g.coeffs.values())
 
 
-def macaulay_matrix(generators, j, nvars=None, field=None):
+def macaulay_matrix(generators, j):
     """Field array whose column space is the degree-j slice of the generated ideal.
 
     Rows run over the degree-j monomials in the fixed order; the columns follow
     `macaulay_columns`, one per product m * g with m a monomial of degree j - deg g.
     """
-    if generators:
-        nvars = generators[0].nvars
-        field = same_field(*[g.field for g in generators])
-    elif nvars is None or field is None:
-        raise PreconditionError("an empty generator list needs explicit nvars and field")
-    for g in generators:
-        if not g.is_homogeneous():
-            raise NonHomogeneousError("Macaulay matrices need homogeneous generators")
-        if g.nvars != nvars:
-            raise DimensionMismatchError("generators live in different rings")
+    nvars, field = ring_of(generators)
     nrows = len(monomials_of_degree(nvars, j))
     blocks = [field.zeros((nrows, 0))]
     for g in generators:

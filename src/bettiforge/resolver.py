@@ -8,6 +8,11 @@ from a colon, and `apolarity.annihilator` from a dual form. Minimal
 generators, socles and graded Betti numbers are read from it; first syzygies
 and ideal membership work on the generators directly.
 
+The ring comes from the polynomials: every public function here that takes
+generators reads (nvars, field) off them with `polyring.ring_of`, which
+refuses mixed rings and inhomogeneous forms, and hands it to the per-degree
+worker `slice_at_degree`. The zero ideal is written [0].
+
 Betti numbers are computed as the graded dimensions of the homology of the
 Koszul complex on the variables with coefficients in the quotient algebra,
 which is the defining Tor description; only ranks of small matrices over the
@@ -24,13 +29,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    NonArtinianError,
-    NonHomogeneousError,
-    PreconditionError,
-)
-from .exactalg import Accumulator, RowBasis, SparseRows, rank_of_rows, same_field
+from .errors import ConsistencyError, NonArtinianError, PreconditionError
+from .exactalg import Accumulator, RowBasis, SparseRows, rank_of_rows
 from .formulas import BettiTable
 from .polyring import (
     Polynomial,
@@ -40,6 +40,7 @@ from .polyring import (
     monomials_of_degree,
     power_ideal,
     product_positions,
+    ring_of,
     term_exponents,
     variable_shift_map,
 )
@@ -51,8 +52,6 @@ def _split_generators(gens):
     for g in gens:
         if g.is_zero():
             continue
-        if not g.is_homogeneous():
-            raise NonHomogeneousError("ideal generators must be homogeneous")
         if len(g.coeffs) == 1:
             monos.append(next(iter(g.coeffs)))
         else:
@@ -209,28 +208,19 @@ class GradedQuotient:
         return self.products_class_matrix(g, j, self.bases[j].support).T.copy()
 
 
-def _infer_ring(gens, nvars=None, field=None):
-    if gens:
-        nvars = gens[0].nvars
-        field = same_field(*[g.field for g in gens])
-    if nvars is None or field is None:
-        raise PreconditionError("empty generator list needs explicit nvars and field")
-    return nvars, field
-
-
 def default_artinian_bound(gens):
     """A degree by which any Artinian quotient of these generators has vanished."""
     return sum(g.homogeneous_degree() - 1 for g in gens if not g.is_zero()) + 1
 
 
-def ideal_slices(gens, nvars=None, field=None, max_degree=None):
+def ideal_slices(gens, max_degree=None):
     """R/(gens) as a GradedQuotient with bases through `max_degree`, by default
     a degree by which an Artinian quotient has vanished."""
     gens = list(gens)
-    nvars, field = _infer_ring(gens, nvars, field)
+    nvars, field = ring_of(gens)
     if max_degree is None:
         if len(gens) < nvars:
-            raise PreconditionError("non-Artinian ideal: pass max_degree explicitly")
+            raise NonArtinianError("fewer generators than variables can never be Artinian")
         max_degree = default_artinian_bound(gens)
     bases = {}
     for j in range(max_degree + 1):
@@ -247,14 +237,14 @@ def quotient_model(source):
     return source if isinstance(source, GradedQuotient) else ideal_slices(source)
 
 
-def _shifted_coordinates(prev, shift, coord, width, field):
+def _shifted_coordinates(prev, shift, coord, width):
     """Rows x_v * b for the basis rows b of `prev`, as `width` coordinates:
     the entry at column c goes to position coord[c], or nowhere if that is -1.
     `shift` maps prev's columns to the columns of x_v times them."""
-    out = field.zeros((prev.dim, width))
+    out = prev.field.zeros((prev.dim, width))
     at = coord[shift[list(prev.pivots)]]
     hit = np.flatnonzero(at >= 0)
-    out[hit, at[hit]] = field.one
+    out[hit, at[hit]] = prev.field.one
     at = coord[shift[list(prev.support)]]
     hit = np.flatnonzero(at >= 0)
     out[:, at[hit]] = prev.tails[:, hit]
@@ -285,7 +275,7 @@ def minimal_generators(ideal):
                 if spanned.codim == 0:
                     break
                 shift = variable_shift_map(nvars, j - 1, v)
-                spanned.absorb(_shifted_coordinates(prev, shift, coord, base.dim, field))
+                spanned.absorb(_shifted_coordinates(prev, shift, coord, base.dim))
         new = [base.dim - 1 - c for c in reversed(spanned.support)]
         gens = RowBasis(base.ncols, field, [base.pivots[k] for k in new], base.support,
                         base.tails[new])
@@ -371,14 +361,7 @@ def betti_from_quotient(quot):
 
 def minimal_betti_oracle(gens):
     """Full graded Betti table of R/(gens) for an Artinian quotient."""
-    gens = list(gens)
-    nvars, field = _infer_ring(gens)
-    if len(gens) < nvars:
-        raise NonArtinianError("fewer generators than variables can never be Artinian")
-    quot = ideal_slices(gens, nvars, field)
-    if not quot.artinian:
-        raise NonArtinianError("quotient did not vanish inside the safe degree bound")
-    return betti_from_quotient(quot)
+    return betti_from_quotient(ideal_slices(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +382,11 @@ def colon_ideal(gens, f):
     """
     if f.is_zero():
         raise PreconditionError("cannot colon by the zero polynomial")
-    df = f.homogeneous_degree()
     gens = list(gens)
-    nvars, field = _infer_ring(gens, f.nvars, f.field)
-    if len(gens) < nvars:
-        raise PreconditionError("non-Artinian source: fewer generators than variables")
-    quot = ideal_slices(gens, nvars, field)
+    nvars, field = ring_of([*gens, f])
+    df = f.homogeneous_degree()
+    quot = ideal_slices(gens)
     max_degree = max(0, quot.socle_degree - df + 1)
-    if max_degree + df > quot.bound:
-        raise PreconditionError("source slices do not reach max_degree + deg f")
     bases = {}
     for j in range(max_degree + 1):
         ncols = len(monomials_of_degree(nvars, j))
@@ -475,7 +454,7 @@ def syzygies_in_degree(gens, j):
     `macaulay_columns` order) is 1.
     """
     gens = list(gens)
-    nvars, field = _infer_ring(gens)
+    nvars, field = ring_of(gens)
     cols = macaulay_columns(gens, j)
     kernel = _kernel_row_basis(macaulay_matrix(gens, j), len(cols), field)
     out = []
@@ -495,10 +474,9 @@ def syzygies_in_degree(gens, j):
 
 def membership(f, gens):
     """Exact degreewise ideal membership for a homogeneous polynomial."""
+    gens = list(gens)
+    nvars, field = ring_of([f, *gens])
     if f.is_zero():
         return True
-    d = f.homogeneous_degree()
-    gens = [g for g in gens if not g.is_zero()]
-    nvars, field = _infer_ring(gens or [f])
-    basis = slice_at_degree(gens, d, nvars, field)
+    basis = slice_at_degree(gens, f.homogeneous_degree(), nvars, field)
     return basis.contains(f.to_vector())

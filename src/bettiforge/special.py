@@ -31,10 +31,10 @@ from .resolver import (
 )
 
 
-def _root_product(base, roots, xn, nvars, field):
+def _root_product(base, roots, xn):
     """prod over r in roots of (base - r * x_n)."""
-    out = Polynomial.constant(1, nvars, field)
-    xn_poly = Polynomial.variable(xn, nvars, field)
+    out = Polynomial.constant(1, base.nvars, base.field)
+    xn_poly = Polynomial.variable(xn, base.nvars, base.field)
     for r in roots:
         out = out * (base - xn_poly.scale(r))
     return out
@@ -52,9 +52,9 @@ def _family_polys(reduced, field):
     fs = []
     for i, d in enumerate(reduced.degrees):
         base = Polynomial.variable(i, nvars, field)
-        fs.append(_root_product(base, _symmetric_roots(d), xn, nvars, field))
+        fs.append(_root_product(base, _symmetric_roots(d), xn))
     ell = standard_linear_form(nvars, field)
-    f_ell = _root_product(ell, _symmetric_roots(reduced.ell_power), xn, nvars, field)
+    f_ell = _root_product(ell, _symmetric_roots(reduced.ell_power), xn)
     return fs, f_ell
 
 
@@ -68,18 +68,17 @@ class LiftedFamily:
     f_ell: Polynomial
 
 
-def _divisible_by_xn4(poly, nvars):
-    return all(m[nvars - 1] >= 4 for m in poly.coeffs)
+def _divisible_by_xn4(poly):
+    return all(m[-1] >= 4 for m in poly.coeffs)
 
 
-def build_lifted_family(ds, field=None):
+def build_lifted_family(ds, field=GF_DEFAULT):
     """Construct the lifted forms for a sequence with its quadric in the last slot.
 
     Verifies the expansion identity f_i = x_i^d - c x_i^(d-2) x_n^2 + (x_n^4
     multiples) and that the lifted ideal plus (x_n^2) cuts out the original
     ideal degree by degree through its socle.
     """
-    field = GF_DEFAULT if field is None else field
     normalized, _, reduced = ds.split_quadric()
     n, e = ds.nvars, reduced.require_ell()
     fs, f_ell = _family_polys(reduced, field)
@@ -90,18 +89,18 @@ def build_lifted_family(ds, field=None):
         c = syzygy_coefficient(d)
         if c and d >= 2:
             expected = expected - Polynomial.variable_power(i, d - 2, n, field).scale(c) * xn2
-        if not _divisible_by_xn4(fs[i] - expected, n):
+        if not _divisible_by_xn4(fs[i] - expected):
             raise ConsistencyError(f"lifted form {i} fails its expansion identity")
     expected = power_of_linear([1] * n, e, field)
     c = syzygy_coefficient(e)
     if c and e >= 2:
         expected = expected - power_of_linear([1] * n, e - 2, field).scale(c) * xn2
-    if not _divisible_by_xn4(f_ell - expected, n):
+    if not _divisible_by_xn4(f_ell - expected):
         raise ConsistencyError("lifted linear-form product fails its expansion identity")
 
     original = power_ideal(normalized.degrees, e, field)
-    quot_i = ideal_slices(original, n, field)
-    lifted_plus = ideal_slices(fs + [f_ell, xn2], n, field, max_degree=quot_i.bound)
+    quot_i = ideal_slices(original)
+    lifted_plus = ideal_slices(fs + [f_ell, xn2], max_degree=quot_i.bound)
     for g in original:
         if not lifted_plus.contains(g):
             raise ConsistencyError("original generator missing from lifted ideal + (x_n^2)")
@@ -151,7 +150,7 @@ def enumerate_point_set(ds):
     return PointSet(points, len(points))
 
 
-def check_xn_regular(ds, field=None):
+def check_xn_regular(ds, field=GF_DEFAULT):
     """Certify that x_n is a nonzerodivisor on the lifted quotient and on the
     lifted colon quotient.
 
@@ -171,19 +170,18 @@ def check_xn_regular(ds, field=None):
         # with n = 1, ell = x_1: at the even e parity allows, the lifted form of
         # ell^e has the factor ell - x_1 = 0
         raise PreconditionError("check regular needs n >= 2 variables")
-    field = GF_DEFAULT if field is None else field
     _, _, reduced = ds.split_quadric()
     n, e, t = ds.nvars, reduced.require_ell(), reduced.total_sum
 
     points = enumerate_point_set(ds)
     ds.require_minimal()
     red_gens = power_ideal(reduced.degrees, e, QQ)
-    red = ideal_slices(red_gens, n - 1, QQ)
+    red = ideal_slices(red_gens)
     if not red.artinian or sum(red.hilbert()) != points.count:
         raise ConsistencyError("reduction multiplicity does not match the point count")
 
     tau = reduced.variable_sum
-    grid_expected = ideal_slices(red_gens[:-1], n - 1, QQ)
+    grid_expected = ideal_slices(red_gens[:-1])
     if not grid_expected.artinian or sum(grid_expected.hilbert()) != prod(reduced.degrees):
         raise ConsistencyError("grid reduction must have multiplicity prod(d_i)")
 
@@ -196,7 +194,7 @@ def check_xn_regular(ds, field=None):
                 raise ConsistencyError("grid point misses the product forms")
 
     bound = max((t - 1) // 2, tau) + 1
-    quot_j = ideal_slices(fs, n, field, max_degree=max(tau + 2, bound))
+    quot_j = ideal_slices(fs, max_degree=max(tau + 2, bound))
     grid_vals = grid_expected.hilbert() + [0] * (tau + 2)
     for j in range(tau + 2):
         if quot_j.hf(j) - quot_j.hf(j - 1) != grid_vals[j]:
@@ -230,7 +228,7 @@ def check_xn_regular(ds, field=None):
     return True
 
 
-def check_colon_equals_plus(ds, field=None):
+def check_colon_equals_plus(ds, field=GF_DEFAULT):
     """Degreewise equality of the x_n-colon and the x_n-plus of both the ideal
     and its linked colon ideal.
 
@@ -238,7 +236,6 @@ def check_colon_equals_plus(ds, field=None):
     already there), so the plus ideal always sits inside the colon and equality
     is a per-degree dimension check.
     """
-    field = GF_DEFAULT if field is None else field
     normalized, _, reduced = ds.split_quadric()
     reduced.require_odd()
     ds.require_minimal()
@@ -265,8 +262,8 @@ def check_colon_equals_plus(ds, field=None):
                 return False
         return True
 
-    quot_i = ideal_slices(gens, n, field)
-    plus = ideal_slices(gens + [xn_poly], n, field, max_degree=quot_i.socle_degree + 1)
+    quot_i = ideal_slices(gens)
+    plus = ideal_slices(gens + [xn_poly], max_degree=quot_i.socle_degree + 1)
     plus_dims = [plus.dim(j) for j in range(plus.bound + 1)]
     if not colon_vs_plus(quot_i, plus_dims):
         return False
@@ -334,7 +331,7 @@ def _normalize_sign(poly):
     return poly
 
 
-def esym_annihilator_generators(nvars, d, field=None):
+def esym_annihilator_generators(nvars, d, field=QQ):
     """Squares plus the symmetric orbit of a difference product generating the
     annihilator of e_{n-d}: with m = n - d, the products of (m+1)/2 disjoint
     differences x_a - x_b, times one further variable when m is even, each up to
@@ -343,7 +340,6 @@ def esym_annihilator_generators(nvars, d, field=None):
     Each orbit element is checked against the colon ideal and the graded
     dimensions are matched in the two generating degrees.
     """
-    field = QQ if field is None else field
     if not 1 <= d <= nvars - 1:
         raise PreconditionError("need 1 <= d <= n-1")
     m = nvars - d
@@ -363,7 +359,7 @@ def esym_annihilator_generators(nvars, d, field=None):
     gens = squares + orbit
     level = (nvars - d) // 2 + 1
     check_bound = max(2, level)
-    generated = ideal_slices(gens, nvars, field, max_degree=check_bound)
+    generated = ideal_slices(gens, max_degree=check_bound)
     for j in (2, level):
         if generated.dim(j) != colon.dim(j):
             raise ConsistencyError(f"generated ideal misses the colon ideal in degree {j}")
@@ -421,7 +417,7 @@ def random_generic_level_spotcheck(nvars, degrees, seed):
             forms.append(Polynomial(nvars, field, coeffs))
         if any(f.is_zero() for f in forms):
             continue
-        quot = ideal_slices(forms, nvars, field)
+        quot = ideal_slices(forms)
         if not quot.artinian or tuple(quot.hilbert()) != expected:
             continue
         return socle_dims(quot).is_level

@@ -247,10 +247,25 @@ def test_hilbert_reads_numbers_as_given(argv, error, capsys):
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-def test_check_syzygy_reads_max_degree_zero_as_given(capsys):
-    argv = ["check", "syzygy", "--degrees", "2,2,2", "--ell-power", "2", "--max-degree", "0"]
+@pytest.mark.parametrize("bound", ["-3", "0", "1", "2"])
+def test_check_syzygy_refuses_a_bound_that_checks_nothing(bound, capsys):
+    argv = ["check", "syzygy", "--degrees", "2,2,2", "--ell-power", "2", "--max-degree", bound]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: no syzygy up to degree {bound}: nothing to check\n")
+
+
+def test_check_syzygy_reads_max_degree_as_given(capsys):
+    argv = ["check", "syzygy", "--degrees", "2,2,2", "--ell-power", "2", "--max-degree", "3"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == "all 0 syzygy basis elements up to degree 0 pass\n"
+    assert capsys.readouterr().out == "all 2 syzygy basis elements up to degree 3 pass\n"
+
+
+def test_colon_by_a_form_past_the_socle_is_the_unit_ideal(capsys):
+    argv = ["colon", "--degrees", "2,2", "--ell-power", "2", "--f"]
+    assert main(argv + ["x1^4"]) == 0
+    unit = capsys.readouterr()
+    assert main(argv + ["x1^5"]) == 0
+    assert capsys.readouterr() == unit == ("0\n1\n", "")
 
 
 E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"

@@ -114,9 +114,9 @@ def test_macaulay_single_generator():
 
 
 def test_macaulay_empty():
-    m = macaulay_matrix([], 5, nvars=2, field=QQ)
+    m = macaulay_matrix([Polynomial.zero(2, QQ)], 5)
     assert m.shape == (6, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^an empty generator list has no ring"):
         macaulay_matrix([], 5)
 
 

@@ -24,12 +24,20 @@ from bettiforge import (
     socle_dims,
     syzygies_in_degree,
 )
-from bettiforge.errors import NonArtinianError, PreconditionError
+from bettiforge.errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    NonArtinianError,
+    PreconditionError,
+)
 from bettiforge import exactalg, resolver
 from bettiforge.exactalg import SparseRows, rank_of_rows
 from bettiforge.polyring import macaulay_columns, monomial_index, monomial_mul, power_ideal
 
 from helpers import FIELDS, dense_koszul_differential, odd_parity_sweep, oracle_table
+
+
+NO_RING = "an empty generator list has no ring; the zero ideal is generated by the zero polynomial"
 
 
 def vp(i, d, n, field=QQ):
@@ -52,9 +60,11 @@ def test_quotient_hilbert_quadrics_and_ell():
 
 
 def test_quotient_hilbert_empty_is_open():
-    res = ideal_slices([], nvars=2, field=QQ, max_degree=2)
+    res = ideal_slices([Polynomial.zero(2, QQ)], max_degree=2)
     assert not res.artinian
     assert res.hilbert() == [1, 2, 3]
+    with pytest.raises(PreconditionError, match=f"^{NO_RING}"):
+        ideal_slices([], max_degree=2)
 
 
 def test_slices_match_macaulay_rank():
@@ -118,10 +128,42 @@ def test_colon_by_unit_is_identity():
             assert col.bases[j].contains(row)
 
 
-@pytest.mark.parametrize("gens", [[], [vp(0, 2, 2)]], ids=["none", "one"])
-def test_colon_refuses_fewer_generators_than_variables(gens):
-    with pytest.raises(PreconditionError, match="^non-Artinian source: fewer generators"):
+@pytest.mark.parametrize("gens, error, message", [
+    ([], PreconditionError, NO_RING),
+    ([vp(0, 2, 2)], NonArtinianError, "fewer generators than variables can never be Artinian"),
+], ids=["none", "one"])
+def test_colon_refuses_fewer_generators_than_variables(gens, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         colon_ideal(gens, ell_power(2, 2))
+
+
+SQUARES = [vp(0, 2, 2), vp(1, 2, 2)]
+SQUARES_GF = [vp(0, 2, 2, GF_DEFAULT), vp(1, 2, 2, GF_DEFAULT)]
+DENSE_IN_3 = parse_polynomial("x1*x2 + x3^2")
+X3 = Polynomial.variable(2, 3, QQ)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ideal_slices(SQUARES + [DENSE_IN_3]), DimensionMismatchError),
+    (lambda: ideal_slices(SQUARES + [X3]), DimensionMismatchError),
+    (lambda: minimal_betti_oracle(SQUARES + [DENSE_IN_3]), DimensionMismatchError),
+    (lambda: minimal_betti_oracle(SQUARES + [X3]), DimensionMismatchError),
+    (lambda: colon_ideal(SQUARES_GF, Polynomial.variable(0, 3, GF_DEFAULT)),
+     DimensionMismatchError),
+    (lambda: colon_ideal(SQUARES_GF, vp(0, 1, 2)), FieldMismatchError),
+    (lambda: membership(vp(0, 2, 2), SQUARES_GF), FieldMismatchError),
+], ids=["slices-dense", "slices-monomial", "oracle-dense", "oracle-monomial", "colon-nvars",
+        "colon-field", "membership-field"])
+def test_generators_and_forms_must_share_one_ring(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: minimal_betti_oracle([]),
+                                  lambda: syzygies_in_degree([], 3)], ids=["oracle", "syzygies"])
+def test_empty_generator_list_has_no_ring(call):
+    with pytest.raises(PreconditionError, match=f"^{NO_RING}$"):
+        call()
 
 
 def test_colon_squares_by_product():
