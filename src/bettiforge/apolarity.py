@@ -13,13 +13,21 @@ from .exactalg import QQ, RowBasis, rank_of_rows
 from .polyring import (
     Polynomial,
     contract,
-    monomial_index,
+    exponent_array,
+    falling_weights,
     monomials_of_degree,
     power_of_linear,
+    product_positions,
     ring_of,
     standard_linear_form,
 )
-from .resolver import GradedQuotient, _kernel_row_basis, ideal_slices, quotient_model
+from .resolver import (
+    GradedQuotient,
+    _kernel_row_basis,
+    default_artinian_bound,
+    ideal_slices,
+    quotient_model,
+)
 
 
 def _guard_characteristic(field, degree):
@@ -32,30 +40,26 @@ def _guard_characteristic(field, degree):
 
 def annihilator(dual_form):
     """Ann(F) = {f : f ∘ F = 0} as a GradedQuotient, computed per degree as the
-    kernel of the catalecticant map into the dual in complementary degree.
+    kernel of the catalecticant map into the dual in complementary degree, whose
+    entry (w, m), the coefficient of x^w in x^m ∘ F, is F's at x^(m+w) times (m+w)!/w!.
 
     The quotient is Artinian Gorenstein with socle degree deg F; slices run one
     degree past that, where the ideal is everything.
     """
     if dual_form.is_zero():
         raise PreconditionError("the zero form has no apolar algebra")
-    e = dual_form.homogeneous_degree()
+    e = dual_form.degree
     nvars, field = dual_form.nvars, dual_form.field
     _guard_characteristic(field, e)
+    coeffs = dual_form.to_vector()
     bases = {}
-    for j in range(e + 2):
-        monos = monomials_of_degree(nvars, j)
-        ncols = len(monos)
-        if j > e:
-            bases[j] = RowBasis.full(ncols, field)
-            continue
-        target_idx = monomial_index(nvars, e - j)
-        rows = field.zeros((len(target_idx), ncols))
-        for c, m in enumerate(monos):
-            image = contract(Polynomial.monomial(m, field), dual_form)
-            for w, val in image.coeffs.items():
-                rows[target_idx[w], c] = val
-        bases[j] = _kernel_row_basis(rows, ncols, field)
+    for j in range(e + 1):
+        monos, duals = exponent_array(nvars, j), exponent_array(nvars, e - j)
+        weights = falling_weights(monos[:, None] + duals[None], monos[:, None], field)
+        # residues below p < 2**31: the product fits int64 and is reduced at once
+        rows = field.reduce(coeffs[product_positions(monos, duals)] * weights).T
+        bases[j] = _kernel_row_basis(rows, len(monos), field)
+    bases[e + 1] = RowBasis.full(len(monomials_of_degree(nvars, e + 1)), field)
     quot = GradedQuotient(nvars, field, bases)
     if quot.hf(e) != 1:
         raise ConsistencyError("apolar algebra must have a one-dimensional socle degree piece")
@@ -84,7 +88,7 @@ def elementary_symmetric(nvars, k, field):
         for v in S:
             e[v] = 1
         coeffs[tuple(e)] = 1
-    return Polynomial(nvars, field, coeffs)
+    return Polynomial.from_terms(nvars, field, coeffs)
 
 
 def elementary_symmetric_dual(nvars, d, field=QQ):
@@ -138,7 +142,7 @@ def lefschetz_check(source, ell=None, mode="SLP"):
     mode = mode.upper()
     if mode not in ("SLP", "WLP"):
         raise PreconditionError("mode must be SLP or WLP")
-    if ell is not None and (ell.is_zero() or not ell.is_homogeneous(1)):
+    if ell is not None and ell.degree != 1:
         raise PreconditionError("the Lefschetz element must be a nonzero linear form")
     quot = quotient_model(source)
     if not quot.artinian:
@@ -175,21 +179,22 @@ def semiregularity_check(gens):
 
     Verified degree by degree up to the top degree of the full Artinian
     quotient plus the largest generator degree.  A failure is always genuine;
-    a pass certifies the range checked.
+    a pass certifies the range checked.  The zero form maps each graded piece
+    into itself with rank 0, maximal only where the quotient vanishes.
     """
     gens = list(gens)
     nvars, field = ring_of(gens)
-    max_degree = sum(g.homogeneous_degree() - 1 for g in gens) + \
-        max(g.homogeneous_degree() for g in gens) + 1
+    max_degree = default_artinian_bound(gens) + \
+        max((g.degree for g in gens if not g.is_zero()), default=0)
     for k, g in enumerate(gens):
-        d = g.homogeneous_degree()
+        d = 0 if g.is_zero() else g.degree
         quot = ideal_slices([Polynomial.zero(nvars, field), *gens[:k]], max_degree)
         for i in range(0, max_degree - d + 1):
             h0 = quot.hf(i)
             h1 = quot.hf(i + d)
             if h0 == 0:
                 continue
-            mat = quot.mult_poly(g, i)
-            if rank_of_rows(mat, h0, field) != min(h0, h1):
+            rank = 0 if g.is_zero() else rank_of_rows(quot.mult_poly(g, i), h0, field)
+            if rank != min(h0, h1):
                 return False
     return True

@@ -28,7 +28,7 @@ from .hilbert import (
     froberg_series,
     gorenstein_linked_hilbert,
 )
-from .polyring import Polynomial, format_polynomial, parse_polynomial, power_ideal
+from .polyring import format_polynomial, parse_polynomial, power_ideal
 from .resolver import (
     betti_from_quotient,
     colon_ideal,
@@ -172,13 +172,11 @@ def _cmd_betti(args):
         if args.gens:
             if args.degrees is not None or args.ell_power is not None or args.colon:
                 raise PreconditionError("--gens takes no --degrees, --ell-power or --colon")
-            gens = [parse_polynomial(g, nvars=args.nvars, field=field,
-                                     require_homogeneous=True)
-                    for g in args.gens.split(";")]
-            nvars = args.nvars or max(g.nvars for g in gens)
-            gens = [Polynomial(nvars, field, {(m + (0,) * (nvars - g.nvars)): c
-                                              for m, c in g.coeffs.items()})
-                    for g in gens]
+            texts = args.gens.split(";")
+            nvars = args.nvars
+            if nvars is None:
+                nvars = max(parse_polynomial(g, field=field).nvars for g in texts)
+            gens = [parse_polynomial(g, nvars=nvars, field=field) for g in texts]
             print(emit_table(minimal_betti_oracle(gens), nvars, fmt))
             return 0
         if args.nvars is not None:
@@ -224,7 +222,7 @@ def _cmd_colon(args):
     field = field_from_spec(args.field)
     ds = _degree_sequence(args)
     if args.f:
-        f = parse_polynomial(args.f, nvars=ds.nvars, field=field, require_homogeneous=True)
+        f = parse_polynomial(args.f, nvars=ds.nvars, field=field)
         quot = colon_ideal(power_ideal(ds.degrees, ds.ell_power, field), f)
     else:
         quot = linked_ideal(ds, field)
@@ -234,8 +232,7 @@ def _cmd_colon(args):
 
 def _cmd_annihilator(args):
     field = field_from_spec(args.field)
-    form = parse_polynomial(args.form, nvars=args.nvars, field=field,
-                            require_homogeneous=True)
+    form = parse_polynomial(args.form, nvars=args.nvars, field=field)
     _print_ideal(annihilator(form), args.format)
     return 0
 
@@ -263,8 +260,7 @@ def _cmd_lefschetz(args):
         source = power_ideal(ds.degrees, ds.ell_power, field)
     ell = None
     if args.ell:
-        ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field,
-                               require_homogeneous=True)
+        ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field)
     report = lefschetz_check(source, ell=ell, mode=args.mode)
     if args.format == "json":
         print(json.dumps({

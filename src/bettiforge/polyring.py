@@ -1,14 +1,18 @@
-"""Sparse graded multivariate polynomials, the contraction action, Macaulay matrices.
+"""Forms over an exact field, the contraction action, Macaulay matrices.
 
-Monomials are exponent tuples.  The fixed monomial order is graded
-lexicographic with x1 > x2 > ... > xn; within one degree, bases are listed in
-decreasing order (x1^d first, xn^d last), and all matrix rows/columns follow
-that listing so kernels and certificates are reproducible.
+Every polynomial is a form: homogeneous of one degree, or zero.  The degree-d
+monomials are listed by `monomials_of_degree` in graded lexicographic order
+with x1 > x2 > ... > xn, largest first (x1^d first, xn^d last), and all matrix
+rows/columns follow that listing so kernels and certificates are
+reproducible.  A `Polynomial` holds its degree, the ascending positions of its
+terms in that listing and their coefficients, so arithmetic on forms is array
+arithmetic on `exponent_array` and `product_positions`.
 
-Coefficients are the field's plain numbers (ints in [0, p) or Fractions, see
-`exactalg`).  `Polynomial.__init__` is the one place they are normalized: it
-coerces every value into the field and drops zeros, so the arithmetic below
-adds up raw Python products and hands them to the constructor.
+Coefficients are field arrays (see `exactalg`).  `Polynomial.__init__` is the
+one place they are normalized: it reduces every value into the field, sums
+repeated positions and drops zeros, so the arithmetic below hands it raw
+products.  Over GF(p) every product of two residues is reduced before it
+meets a third factor.
 
 A generator list carries its own ring: `ring_of` reads (nvars, field) off the
 polynomials and refuses a list whose members do not share one, so no function
@@ -24,25 +28,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, perm, prod
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHomogeneousError, PreconditionError
 from .exactalg import QQ, same_field
-
-
-def monomial_degree(mono):
-    return sum(mono)
-
-
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a, b):
-    """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -57,12 +48,6 @@ def monomials_of_degree(nvars, degree):
         for tail in monomials_of_degree(nvars - 1, degree - e):
             out.append((e,) + tail)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomial_index(nvars, degree):
-    """Monomial -> position in monomials_of_degree(nvars, degree)."""
-    return {m: k for k, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +97,12 @@ def product_positions(monos, terms):
     return out
 
 
+def positions_of(exps):
+    """Positions of the rows of the int64 exponent array `exps`, all of one
+    degree, in monomials_of_degree."""
+    return product_positions(exps, exponent_array(exps.shape[1], 0))[:, 0]
+
+
 @lru_cache(maxsize=None)
 def variable_shift_map(nvars, degree, var):
     """Positions of x_var * m in degree+1, for m running over degree-`degree` monomials."""
@@ -122,30 +113,54 @@ def variable_shift_map(nvars, degree, var):
     return out
 
 
-def monomial_key(mono):
-    """Sort key: larger key = larger monomial in the fixed graded-lex order."""
-    return (monomial_degree(mono), mono)
-
-
 class Polynomial:
-    """Sparse polynomial over an exact field; `coeffs` maps exponent tuples to nonzero values."""
+    """A form over an exact field: `degree` (None for zero only), the ascending
+    int64 `positions` of its terms in monomials_of_degree(nvars, degree), the
+    largest monomial first, and the field array `values` of their nonzero
+    coefficients."""
 
-    __slots__ = ("nvars", "field", "coeffs")
+    __slots__ = ("nvars", "field", "degree", "positions", "values")
 
-    def __init__(self, nvars, field, coeffs=None):
+    def __init__(self, nvars, field, degree=None, positions=(), values=()):
+        """sum_t values[t] * (the monomial at positions[t]) in degree `degree`,
+        with values reduced into the field, repeated positions summed and zeros
+        dropped.  Any array shape is read in C order."""
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        values = field.array([values], len(positions))[0]
+        if len(positions) > 1:
+            order = positions.argsort(kind="stable")
+            positions, values = positions[order], values[order]
+            new = positions[1:] != positions[:-1]
+            if not new.all():
+                first = np.concatenate(([0], new.nonzero()[0] + 1))
+                # the values are residues below p < 2**31 over GF(p), so fewer
+                # than 2**32 repeats of one position sum below 2**63
+                positions = positions[first]
+                values = field.reduce(np.add.reduceat(values, first))
+        keep = values.nonzero()[0]
         self.nvars = nvars
         self.field = field
-        clean = {}
-        if coeffs:
-            for mono, val in coeffs.items():
-                val = field.coerce(val)
-                if val:
-                    if len(mono) != nvars:
-                        raise DimensionMismatchError("exponent tuple length != nvars")
-                    clean[tuple(mono)] = val
-        self.coeffs = clean
+        self.degree = degree if len(keep) else None
+        self.positions = positions[keep]
+        self.values = values[keep]
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, nvars, field, terms):
+        """The form sum c * x^m over the items (m, c) of the dict `terms`, m an
+        exponent tuple of length nvars; terms whose c is zero in the field are
+        dropped, and the rest must share one degree."""
+        terms = {tuple(m): v for m, c in terms.items() if (v := field.coerce(c))}
+        if any(len(m) != nvars for m in terms):
+            raise DimensionMismatchError("exponent tuple length != nvars")
+        degrees = sorted({sum(m) for m in terms})
+        if len(degrees) > 1:
+            raise NonHomogeneousError(f"not homogeneous: degrees {degrees}")
+        if not terms:
+            return cls(nvars, field)
+        exps = np.array(list(terms), dtype=np.int64)
+        return cls(nvars, field, degrees[0], positions_of(exps), list(terms.values()))
 
     @classmethod
     def zero(cls, nvars, field):
@@ -153,130 +168,127 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, nvars, field):
-        return cls(nvars, field, {(0,) * nvars: value})
+        return cls.monomial((0,) * nvars, field, value)
 
     @classmethod
     def variable(cls, i, nvars, field):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, field, {tuple(e): 1})
+        return cls.variable_power(i, 1, nvars, field)
 
     @classmethod
     def variable_power(cls, i, d, nvars, field):
-        e = [0] * nvars
-        e[i] = d
-        return cls(nvars, field, {tuple(e): 1})
+        return cls.monomial([d if k == i else 0 for k in range(nvars)], field)
 
     @classmethod
     def monomial(cls, expo, field, coeff=1):
-        return cls(len(expo), field, {tuple(expo): coeff})
+        return cls.from_terms(len(expo), field, {tuple(expo): coeff})
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return self.degree is None
 
-    def degree(self):
-        """Top total degree, or None for the zero polynomial."""
-        if not self.coeffs:
-            return None
-        return max(monomial_degree(m) for m in self.coeffs)
+    def exponents(self):
+        """The terms' exponent vectors, an int64 array with one row per term."""
+        return exponent_array(self.nvars, self.degree or 0)[self.positions]
 
-    def is_homogeneous(self, degree=None):
-        """Zero counts as homogeneous of every degree."""
-        if not self.coeffs:
-            return True
-        degs = {monomial_degree(m) for m in self.coeffs}
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def homogeneous_degree(self):
-        if not self.coeffs:
-            return None
-        degs = {monomial_degree(m) for m in self.coeffs}
-        if len(degs) > 1:
-            raise NonHomogeneousError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def leading_monomial(self):
-        return max(self.coeffs, key=monomial_key)
-
-    def _check_ring(self, other):
-        if self.nvars != other.nvars:
+    def check_ring(self, nvars, field):
+        """Refuse a ring other than the polynomial's own."""
+        if self.nvars != nvars:
             raise DimensionMismatchError("polynomials live in different rings")
-        same_field(self.field, other.field)
+        same_field(self.field, field)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check_ring(other)
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            out[m] = out.get(m, 0) + v
-        return Polynomial(self.nvars, self.field, out)
+        self.check_ring(other.nvars, other.field)
+        return _sum(self.nvars, self.field, [(p.degree, p.positions, p.values)
+                                             for p in (self, other) if not p.is_zero()])
 
     def __neg__(self):
-        return Polynomial(self.nvars, self.field, {m: -v for m, v in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check_ring(other)
-        out = {}
-        for m1, v1 in self.coeffs.items():
-            for m2, v2 in other.coeffs.items():
-                m = monomial_mul(m1, m2)
-                out[m] = out.get(m, 0) + v1 * v2
-        return Polynomial(self.nvars, self.field, out)
+        return dot([self], [other])
 
     def scale(self, c):
-        return Polynomial(self.nvars, self.field, {m: c * v for m, v in self.coeffs.items()})
+        # c is coerced into the field, so over GF(p) each product fits int64
+        return Polynomial(self.nvars, self.field, self.degree, self.positions,
+                          self.values * self.field.coerce(c))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.nvars == other.nvars and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.nvars, self.field, frozenset(self.coeffs.items())))
+                and self.degree == other.degree
+                and self.positions.tolist() == other.positions.tolist()
+                and self.values.tolist() == other.values.tolist())
 
     def evaluate(self, point):
         """Evaluate at a point given as a coordinate sequence."""
         if len(point) != self.nvars:
             raise DimensionMismatchError("point length != nvars")
         return self.field.coerce(sum(coef * prod(x ** e for x, e in zip(point, mono))
-                                     for mono, coef in self.coeffs.items()))
+                                     for mono, coef in zip(self.exponents().tolist(),
+                                                           self.values.tolist())))
 
     def to_vector(self, degree=None):
-        """Coefficient list over the degree-d monomial basis (requires homogeneity)."""
-        d = self.homogeneous_degree() if degree is None else degree
+        """Field array of coefficients over the degree-d monomial basis; d is
+        the form's own degree unless given, and must be given for zero."""
+        d = self.degree if degree is None else degree
         if d is None:
             raise PreconditionError("zero polynomial needs an explicit degree")
-        if not self.is_homogeneous(d):
+        if self.degree not in (None, d):
             raise NonHomogeneousError("polynomial is not homogeneous of the requested degree")
-        idx = monomial_index(self.nvars, d)
-        vec = [self.field.zero] * len(idx)
-        for m, v in self.coeffs.items():
-            vec[idx[m]] = v
+        vec = self.field.zeros(len(monomials_of_degree(self.nvars, d)))
+        vec[self.positions] = self.values
         return vec
 
     @classmethod
     def from_vector(cls, vec, nvars, degree, field):
-        monos = monomials_of_degree(nvars, degree)
-        return cls(nvars, field, {m: v for m, v in zip(monos, vec)})
+        return cls(nvars, field, degree, np.arange(len(vec)), vec)
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _falling(b, a):
-    """b (b-1) ... (b-a+1) as a plain integer."""
-    out = 1
-    for k in range(a):
-        out *= b - k
+def _sum(nvars, field, terms):
+    """The form summing the terms (degree, positions, values), which must share a degree."""
+    degrees = sorted({d for d, _, _ in terms})
+    if len(degrees) > 1:
+        raise NonHomogeneousError(f"not homogeneous: degrees {degrees}")
+    if not terms:
+        return Polynomial(nvars, field)
+    return Polynomial(nvars, field, degrees[0], np.concatenate([p for _, p, _ in terms]),
+                      np.concatenate([v for _, _, v in terms]))
+
+
+def dot(left, right):
+    """sum_i left[i] * right[i] over two sequences of forms of one ring, in one
+    canonicalization; the nonzero products must share a degree."""
+    nvars, field = left[0].nvars, left[0].field
+    for p in (*left, *right):
+        p.check_ring(nvars, field)
+    # a product of two residues below p < 2**31 fits int64; the constructor
+    # reduces it before summing
+    return _sum(nvars, field, [(a.degree + b.degree,
+                                product_positions(a.exponents(), b.exponents()).reshape(-1),
+                                np.multiply.outer(a.values, b.values).reshape(-1))
+                               for a, b in zip(left, right) if not (a.is_zero() or b.is_zero())])
+
+
+def falling_weights(b, a, field):
+    """prod_i b_i (b_i - 1) ... (b_i - a_i + 1) over the last axis of the int64
+    exponent arrays b and a, as a field array.  Over GF(p) each factor is a
+    residue below p < 2**31, so every product fits int64 and is reduced
+    before the next multiply."""
+    top = int(b.max(initial=0)) + 1
+    table = field.array([[field.coerce(perm(x, y)) for y in range(top)] for x in range(top)], top)
+    out = np.full(b.shape[:-1], field.one, dtype=field.dtype)
+    for i in range(b.shape[-1]):
+        out = field.reduce(out * table[b[..., i], a[..., i]])
     return out
 
 
@@ -284,21 +296,20 @@ def contract(f, big):
     """Apolarity action f ∘ F: each variable acts as the matching partial derivative.
 
     Linear in both arguments; drops degrees by deg f; zero once deg f exceeds deg F.
-    No divided-power normalization is applied.
+    No divided-power normalization is applied.  A term pair (x^a, x^b) gives
+    x^(b-a) weighted by the falling factorials of b over a, when a <= b.
     """
-    f._check_ring(big)
-    out = {}
-    for mf, cf in f.coeffs.items():
-        for mF, cF in big.coeffs.items():
-            if not monomial_divides(mf, mF):
-                continue
-            v = cf * cF
-            for b, a in zip(mF, mf):
-                if a:
-                    v *= _falling(b, a)
-            m = tuple(b - a for b, a in zip(mF, mf))
-            out[m] = out.get(m, 0) + v
-    return Polynomial(f.nvars, f.field, out)
+    f.check_ring(big.nvars, big.field)
+    field = f.field
+    if f.is_zero() or big.is_zero():
+        return Polynomial.zero(f.nvars, field)
+    a, b = f.exponents(), big.exponents()
+    left = b[None, :, :] - a[:, None, :]
+    k, t = np.nonzero((left >= 0).all(axis=2))
+    # residues below p < 2**31: each product fits int64 and is reduced before the next
+    values = field.reduce(f.values[k] * big.values[t])
+    return Polynomial(f.nvars, field, big.degree - f.degree, positions_of(left[k, t]),
+                      values * falling_weights(b[t], a[k], field))
 
 
 def power_of_linear(coeffs, d, field=QQ):
@@ -306,7 +317,7 @@ def power_of_linear(coeffs, d, field=QQ):
     if d < 0:
         raise PreconditionError("exponent must be >= 0")
     nvars = len(coeffs)
-    ell = Polynomial(nvars, field, dict(zip(monomials_of_degree(nvars, 1), coeffs)))
+    ell = Polynomial(nvars, field, 1, np.arange(nvars), [field.coerce(c) for c in coeffs])
     out = Polynomial.constant(1, nvars, field)
     for _ in range(d):
         out = out * ell
@@ -315,7 +326,7 @@ def power_of_linear(coeffs, d, field=QQ):
 
 def standard_linear_form(nvars, field=QQ):
     """x1 + ... + xn."""
-    return Polynomial(nvars, field, {m: 1 for m in monomials_of_degree(nvars, 1)})
+    return power_of_linear([1] * nvars, 1, field)
 
 
 def power_ideal(degrees, ell_power, field):
@@ -328,32 +339,25 @@ def power_ideal(degrees, ell_power, field):
 
 
 def ring_of(gens):
-    """(nvars, field) of a non-empty list of homogeneous polynomials sharing one ring."""
+    """(nvars, field) of a non-empty list of polynomials sharing one ring."""
     if not gens:
         raise PreconditionError("an empty generator list has no ring; "
                                 "the zero ideal is generated by the zero polynomial")
+    nvars, field = gens[0].nvars, gens[0].field
     for g in gens:
-        gens[0]._check_ring(g)
-        g.homogeneous_degree()
-    return gens[0].nvars, gens[0].field
+        g.check_ring(nvars, field)
+    return nvars, field
 
 
 def macaulay_columns(generators, j):
     """Column labels (generator index, shifting monomial) of the degree-j Macaulay matrix."""
     cols = []
     for g_idx, g in enumerate(generators):
-        d = g.homogeneous_degree()
-        if d is None or d > j:
+        if g.is_zero() or g.degree > j:
             continue
-        for m in monomials_of_degree(g.nvars, j - d):
+        for m in monomials_of_degree(g.nvars, j - g.degree):
             cols.append((g_idx, m))
     return cols
-
-
-def term_exponents(g):
-    """g's terms as an int64 exponent array (one row per term), and their coefficients."""
-    terms = np.array(list(g.coeffs), dtype=np.int64).reshape(len(g.coeffs), g.nvars)
-    return terms, list(g.coeffs.values())
 
 
 def macaulay_matrix(generators, j):
@@ -366,13 +370,11 @@ def macaulay_matrix(generators, j):
     nrows = len(monomials_of_degree(nvars, j))
     blocks = [field.zeros((nrows, 0))]
     for g in generators:
-        d = g.homogeneous_degree()
-        if d is None or d > j:
+        if g.is_zero() or g.degree > j:
             continue
-        terms, coeffs = term_exponents(g)
-        rows = product_positions(exponent_array(nvars, j - d), terms)
+        rows = product_positions(exponent_array(nvars, j - g.degree), g.exponents())
         block = field.zeros((nrows, len(rows)))
-        block[rows, np.arange(len(rows))[:, None]] = field.array([coeffs], len(coeffs))
+        block[rows, np.arange(len(rows))[:, None]] = g.values
         blocks.append(block)
     return np.concatenate(blocks, axis=1)
 
@@ -384,8 +386,8 @@ def macaulay_matrix(generators, j):
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|x(?P<var>\d+)(?:\^(?P<pow>\d+))?|(?P<op>[+\-*]))")
 
 
-def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
-    """Parse the CLI polynomial syntax into a Polynomial."""
+def parse_polynomial(text, nvars=None, field=QQ):
+    """Parse the CLI polynomial syntax into a Polynomial; the terms must share one degree."""
     terms = []
     sign = 1
     coeff = None
@@ -438,10 +440,10 @@ def parse_polynomial(text, nvars=None, field=QQ, require_homogeneous=False):
         mono = tuple(e.get(i, 0) for i in range(nvars))
         prev = coeffs.get(mono, Fraction(0))
         coeffs[mono] = prev + sgn * c
-    poly = Polynomial(nvars, field, coeffs)
-    if require_homogeneous and not poly.is_homogeneous():
-        raise NonHomogeneousError(f"non-homogeneous input: {text!r}")
-    return poly
+    try:
+        return Polynomial.from_terms(nvars, field, coeffs)
+    except NonHomogeneousError:
+        raise NonHomogeneousError(f"non-homogeneous input: {text!r}") from None
 
 
 def format_polynomial(p):
@@ -449,8 +451,7 @@ def format_polynomial(p):
         return "0"
     char = p.field.characteristic
     parts = []
-    for mono in sorted(p.coeffs, key=monomial_key, reverse=True):
-        coef = p.coeffs[mono]
+    for mono, coef in zip(p.exponents().tolist(), p.values.tolist()):
         if char and coef > char // 2:
             coef -= char
         factors = []

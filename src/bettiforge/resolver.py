@@ -10,7 +10,7 @@ and ideal membership work on the generators directly.
 
 The ring comes from the polynomials: every public function here that takes
 generators reads (nvars, field) off them with `polyring.ring_of`, which
-refuses mixed rings and inhomogeneous forms, and hands it to the per-degree
+refuses mixed rings, and hands it to the per-degree
 worker `slice_at_degree`. The zero ideal is written [0].
 
 Betti numbers are computed as the graded dimensions of the homology of the
@@ -34,6 +34,7 @@ from .exactalg import Accumulator, RowBasis, SparseRows, rank_of_rows
 from .formulas import BettiTable
 from .polyring import (
     Polynomial,
+    dot,
     exponent_array,
     macaulay_columns,
     macaulay_matrix,
@@ -41,22 +42,14 @@ from .polyring import (
     power_ideal,
     product_positions,
     ring_of,
-    term_exponents,
     variable_shift_map,
 )
 
 
 def _split_generators(gens):
     """Separate single-term generators (handled combinatorially) from dense ones."""
-    monos, dense = [], []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if len(g.coeffs) == 1:
-            monos.append(next(iter(g.coeffs)))
-        else:
-            dense.append(g)
-    return monos, dense
+    monos = [g.exponents()[0] for g in gens if len(g.positions) == 1]
+    return monos, [g for g in gens if len(g.positions) > 1]
 
 
 def slice_at_degree(gens, j, nvars, field):
@@ -78,14 +71,12 @@ def slice_at_degree(gens, j, nvars, field):
 
     blocks = [field.zeros((0, len(candidates)))]
     for g in dense_gens:
-        dg = g.homogeneous_degree()
-        if dg > j:
+        if g.degree > j:
             continue
-        terms, coeffs = term_exponents(g)
-        cols = cand_pos[product_positions(exponent_array(nvars, j - dg), terms)]
+        cols = cand_pos[product_positions(exponent_array(nvars, j - g.degree), g.exponents())]
         block = field.zeros((len(cols), len(candidates)))
         rows, t = np.nonzero(cols >= 0)
-        block[rows, cols[rows, t]] = field.array([coeffs], len(coeffs))[0, t]
+        block[rows, cols[rows, t]] = g.values[t]
         blocks.append(block[(cols >= 0).any(axis=1)])
 
     block = RowBasis.from_rows(np.concatenate(blocks), len(candidates), field)
@@ -138,10 +129,9 @@ class GradedQuotient:
         return self.bases[j].dim
 
     def contains(self, poly):
-        if poly.is_zero():
-            return True
-        d = poly.homogeneous_degree()
-        return not self._within_bound(d) or self.bases[d].contains(poly.to_vector())
+        poly.check_ring(self.nvars, self.field)
+        return poly.is_zero() or not self._within_bound(poly.degree) or \
+            self.bases[poly.degree].contains(poly.to_vector())
 
     def hf(self, j):
         """Hilbert function of R/I in degree j."""
@@ -199,9 +189,9 @@ class GradedQuotient:
         exps = exponent_array(self.nvars, k)
         if monos is not None:
             exps = exps[list(monos)]
-        terms, coeffs = term_exponents(g)
-        target = self.class_matrix(k + g.homogeneous_degree())
-        return _accumulate_products(self.field, target, product_positions(exps, terms), coeffs)
+        target = self.class_matrix(k + g.degree)
+        return _accumulate_products(self.field, target, product_positions(exps, g.exponents()),
+                                    g.values)
 
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
@@ -210,7 +200,7 @@ class GradedQuotient:
 
 def default_artinian_bound(gens):
     """A degree by which any Artinian quotient of these generators has vanished."""
-    return sum(g.homogeneous_degree() - 1 for g in gens if not g.is_zero()) + 1
+    return sum(g.degree - 1 for g in gens if not g.is_zero()) + 1
 
 
 def ideal_slices(gens, max_degree=None):
@@ -280,7 +270,7 @@ def minimal_generators(ideal):
         gens = RowBasis(base.ncols, field, [base.pivots[k] for k in new], base.support,
                         base.tails[new])
         for row in gens.full_rows():
-            out.append(Polynomial.from_vector(list(row), nvars, j, field))
+            out.append(Polynomial.from_vector(row, nvars, j, field))
     return out
 
 
@@ -384,7 +374,7 @@ def colon_ideal(gens, f):
         raise PreconditionError("cannot colon by the zero polynomial")
     gens = list(gens)
     nvars, field = ring_of([*gens, f])
-    df = f.homogeneous_degree()
+    df = f.degree
     quot = ideal_slices(gens)
     max_degree = max(0, quot.socle_degree - df + 1)
     bases = {}
@@ -439,11 +429,7 @@ class RelationVector:
     components: tuple
 
     def check(self, gens):
-        total = None
-        for a, g in zip(self.components, gens):
-            term = a * g
-            total = term if total is None else total + term
-        return total is None or total.is_zero()
+        return dot(self.components, gens).is_zero()
 
 
 def syzygies_in_degree(gens, j):
@@ -455,17 +441,15 @@ def syzygies_in_degree(gens, j):
     """
     gens = list(gens)
     nvars, field = ring_of(gens)
-    cols = macaulay_columns(gens, j)
-    kernel = _kernel_row_basis(macaulay_matrix(gens, j), len(cols), field)
+    owner = np.array([g_idx for g_idx, _ in macaulay_columns(gens, j)], dtype=np.int64)
+    kernel = _kernel_row_basis(macaulay_matrix(gens, j), len(owner), field)
     out = []
     for vec in kernel.full_rows():
-        nz = np.flatnonzero(vec)
-        vec = field.reduce(vec * field.inv(vec[nz[0]]))
-        parts = [{} for _ in gens]
-        for k in nz:
-            g_idx, m = cols[k]
-            parts[g_idx][m] = vec[k]
-        rel = RelationVector(tuple(Polynomial(nvars, field, p) for p in parts))
+        vec = field.reduce(vec * field.inv(vec[np.flatnonzero(vec)[0]]))
+        # generator k's columns are its shifting monomials of degree j - deg g_k, in order
+        rel = RelationVector(tuple(Polynomial.from_vector(vec[owner == k], nvars,
+                                                          j - (g.degree or 0), field)
+                                   for k, g in enumerate(gens)))
         if not rel.check(gens):
             raise ConsistencyError("kernel vector is not a relation")
         out.append(rel)
@@ -476,7 +460,4 @@ def membership(f, gens):
     """Exact degreewise ideal membership for a homogeneous polynomial."""
     gens = list(gens)
     nvars, field = ring_of([f, *gens])
-    if f.is_zero():
-        return True
-    basis = slice_at_degree(gens, f.homogeneous_degree(), nvars, field)
-    return basis.contains(f.to_vector())
+    return f.is_zero() or slice_at_degree(gens, f.degree, nvars, field).contains(f.to_vector())

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 
@@ -16,6 +17,7 @@ from .formulas import syzygy_coefficient
 from .hilbert import froberg_series, multiplicity_of_truncation
 from .polyring import (
     Polynomial,
+    dot,
     monomials_of_degree,
     power_ideal,
     power_of_linear,
@@ -69,7 +71,7 @@ class LiftedFamily:
 
 
 def _divisible_by_xn4(poly):
-    return all(m[-1] >= 4 for m in poly.coeffs)
+    return bool((poly.exponents()[:, -1] >= 4).all())
 
 
 def build_lifted_family(ds, field=GF_DEFAULT):
@@ -204,13 +206,13 @@ def check_xn_regular(ds, field=GF_DEFAULT):
     rank_cache = {}
 
     def image_rank(g, k):
-        key = (g.leading_monomial(), g.homogeneous_degree(), k)
+        key = (int(g.positions[0]), g.degree, k)
         if key not in rank_cache:
             if k < 0:
                 rank_cache[key] = 0
             else:
                 mat = quot_j.products_class_matrix(g, k)
-                h = quot_j.hf(k + g.homogeneous_degree())
+                h = quot_j.hf(k + g.degree)
                 rank_cache[key] = rank_of_rows(mat, h, field) if h else 0
         return rank_cache[key]
 
@@ -270,6 +272,20 @@ def check_colon_equals_plus(ds, field=GF_DEFAULT):
     return colon_vs_plus(linked_ideal(normalized, field), None)
 
 
+@lru_cache(maxsize=None)
+def _syzygy_weights(normalized, field):
+    """The generators of a normalized sequence and the weights of
+    `check_syzygy_property`: c(d_i) x_i^(d_i - 2) for i < n, 1 for x_n^2 and
+    c(e) ell^(e-2), each zero where the degree is below 2."""
+    n, e = normalized.nvars, normalized.require_ell()
+    c, zero = syzygy_coefficient, Polynomial.zero(n, field)
+    weights = [Polynomial.variable_power(i, d - 2, n, field).scale(c(d)) if d >= 2 else zero
+               for i, d in enumerate(normalized.degrees[:-1])]
+    weights += [Polynomial.constant(1, n, field),
+                power_of_linear([1] * n, e - 2, field).scale(c(e)) if e >= 2 else zero]
+    return power_ideal(normalized.degrees, e, field), weights
+
+
 def check_syzygy_property(ds, relation):
     """Feed a verified relation through the weighted-combination membership test.
 
@@ -285,21 +301,10 @@ def check_syzygy_property(ds, relation):
     syzygy basis (`bettiforge check syzygy`), not to this single-relation test.
     """
     normalized, _, _ = ds.split_quadric()
-    n, e = ds.nvars, normalized.require_ell()
-    field = relation.components[0].field
-    gens = power_ideal(normalized.degrees, e, field)
-    if len(relation.components) != n + 1 or not relation.check(gens):
+    gens, weights = _syzygy_weights(normalized, relation.components[0].field)
+    if len(relation.components) != ds.nvars + 1 or not relation.check(gens):
         raise PreconditionError("not a relation of the normalized generators")
-    combo = relation.components[n - 1]
-    for i, d in enumerate(normalized.degrees[:-1]):
-        c = syzygy_coefficient(d)
-        if c and d >= 2:
-            term = relation.components[i] * Polynomial.variable_power(i, d - 2, n, field)
-            combo = combo + term.scale(c)
-    c = syzygy_coefficient(e)
-    if c and e >= 2:
-        combo = combo + (relation.components[n] * power_of_linear([1] * n, e - 2, field)).scale(c)
-    return membership(combo, gens)
+    return membership(dot(relation.components, weights), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +312,17 @@ def check_syzygy_property(ds, relation):
 
 
 def _difference_product(pairs, extra, nvars, field):
-    out = Polynomial.constant(1, nvars, field)
-    for a, b in pairs:
-        out = out * (Polynomial.variable(a, nvars, field) - Polynomial.variable(b, nvars, field))
-    if extra is not None:
-        out = out * Polynomial.variable(extra, nvars, field)
-    return out
+    """prod over (a, b) in pairs of (x_a - x_b), times x_extra unless extra is
+    None, from its 2^k signed terms: the pairs are disjoint, so each choice of
+    one end per pair is its own monomial, negated once per b chosen."""
+    extra = () if extra is None else (extra,)
+    terms = {}
+    for ends in product(*pairs):
+        mono = [0] * nvars
+        for v in ends + extra:
+            mono[v] = 1
+        terms[tuple(mono)] = (-1) ** sum(v == b for v, (_, b) in zip(ends, pairs))
+    return Polynomial.from_terms(nvars, field, terms)
 
 
 def _disjoint_pairs(free, count):
@@ -324,7 +334,7 @@ def _disjoint_pairs(free, count):
 
 
 def _normalize_sign(poly):
-    lead = poly.coeffs[poly.leading_monomial()]
+    lead = poly.values[0]
     char = poly.field.characteristic
     if lead < 0 or (char and lead > char // 2):
         return poly.scale(-1)
@@ -349,7 +359,7 @@ def esym_annihilator_generators(nvars, d, field=QQ):
         used = {v for pair in pairs for v in pair}
         extras = [v for v in range(nvars) if v not in used] if m % 2 == 0 else [None]
         orbit += [_normalize_sign(_difference_product(pairs, v, nvars, field)) for v in extras]
-    orbit.sort(key=lambda g: sorted(g.coeffs.items()))
+    orbit.sort(key=lambda g: sorted(zip(g.exponents().tolist(), g.values.tolist())))
 
     ell_d = power_of_linear([1] * nvars, d, field)
     colon = colon_ideal(squares, ell_d)
@@ -413,8 +423,8 @@ def random_generic_level_spotcheck(nvars, degrees, seed):
     for _ in range(GENERIC_ATTEMPTS):
         forms = []
         for deg in degrees:
-            coeffs = {m: rng.randrange(field.p) for m in monomials_of_degree(nvars, deg)}
-            forms.append(Polynomial(nvars, field, coeffs))
+            coeffs = [rng.randrange(field.p) for _ in monomials_of_degree(nvars, deg)]
+            forms.append(Polynomial.from_vector(coeffs, nvars, deg, field))
         if any(f.is_zero() for f in forms):
             continue
         quot = ideal_slices(forms)

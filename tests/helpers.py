@@ -11,6 +11,7 @@ from bettiforge import (
     betti_from_quotient,
     linked_ideal,
     minimal_betti_oracle,
+    monomials_of_degree,
     power_ideal,
     socle_dims,
 )
@@ -96,6 +97,20 @@ def renamed_oracle_table(ds, kind):
     multiset of variable degrees.
     """
     return oracle_table(ds.nvars, tuple(sorted(ds.degrees)), ds.ell_power, kind)
+
+
+def monomial_index(nvars, degree):
+    """Monomial -> position in monomials_of_degree(nvars, degree)."""
+    return {m: k for k, m in enumerate(monomials_of_degree(nvars, degree))}
+
+
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def coeffs(p):
+    """A polynomial's terms as {exponent tuple: coefficient}."""
+    return dict(zip(map(tuple, p.exponents().tolist()), p.values.tolist()))
 
 
 def dense_koszul_differential(quot, i, j):

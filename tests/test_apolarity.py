@@ -61,7 +61,7 @@ def test_annihilator_gorenstein_symmetry():
     for form in (elementary_symmetric(4, 2, QQ),
                  power_of_linear([1, 2, 1], 3) + vp(0, 3, 3)):
         slices = annihilator(form)
-        e = form.homogeneous_degree()
+        e = form.degree
         values = slices.hilbert()
         assert len(values) == e + 1 and is_symmetric(values)
         rep = socle_dims(slices)
@@ -121,7 +121,7 @@ def test_dual_generator_socle_contraction():
     ell = standard_linear_form(2, QQ)
     f = ell * ell * ell  # ell^(sum (d_i - 1))
     out = dual_generator_of_colon(dual, f)
-    assert out.homogeneous_degree() == 0
+    assert out.degree == 0
 
 
 def test_dual_generator_unit_colon():
@@ -137,7 +137,7 @@ def test_elementary_symmetric_dual_cases():
     assert r.form == Polynomial.monomial((1, 1), QQ) and r.scalar == 1
     r = elementary_symmetric_dual(4, 2)
     assert r.scalar == 2
-    assert all(v == 1 for v in r.form.coeffs.values()) and len(r.form.coeffs) == 6
+    assert r.form.values.tolist() == [1] * 6
     with pytest.raises(PreconditionError):
         elementary_symmetric_dual(3, 3)
 
@@ -180,6 +180,14 @@ def test_semiregularity_examples():
     gens = [vp(i, 2, 3) for i in range(3)] + [power_of_linear([1, 1, 1], 2)]
     assert semiregularity_check(gens)
     assert not semiregularity_check([vp(0, 2, 2), Polynomial.monomial((1, 1), QQ)])
+
+
+def test_semiregularity_of_the_zero_form():
+    # multiplication by 0 has rank 0: maximal only where the quotient vanishes
+    zero = Polynomial.zero(2, QQ)
+    assert not semiregularity_check([zero, vp(0, 2, 2)])
+    assert not semiregularity_check([vp(0, 2, 2), zero])
+    assert semiregularity_check([Polynomial.constant(1, 2, QQ), zero])
 
 
 def test_semiregularity_forces_froberg():

@@ -29,6 +29,8 @@ from bettiforge.errors import ParityError, PreconditionError
 from bettiforge.exactalg import Accumulator
 from bettiforge.special import _difference_product, _normalize_sign
 
+from helpers import coeffs, quadric_sum_sweep, sorted_multisets
+
 
 def vp(i, d, n, field=QQ):
     return Polynomial.variable_power(i, d, n, field)
@@ -86,6 +88,12 @@ def test_xn_regular_small_cases():
     assert check_xn_regular(DegreeSequence(4, (2, 2, 3, 2), 2))
     with pytest.raises(ParityError):
         check_xn_regular(DegreeSequence(3, (2, 3, 2), 2))
+
+
+@pytest.mark.parametrize("ds", quadric_sum_sweep(range(1, 5)),
+                         ids=lambda ds: f"{ds.degrees}-{ds.ell_power}")
+def test_lifted_certificates_hold_on_the_quadric_sweep(ds):
+    assert check_xn_regular(ds) and check_colon_equals_plus(ds)
 
 
 def test_colon_equals_plus_small_cases():
@@ -162,7 +170,7 @@ def orbit_span_dim(polys, degree):
 def test_esym_generators_three_one():
     gens = esym_annihilator_generators(3, 1)
     orbit = gens[3:]
-    assert all(g.homogeneous_degree() == 2 for g in orbit)
+    assert all(g.degree == 2 for g in orbit)
     assert orbit_span_dim(gens, 2) == 5
 
 
@@ -185,7 +193,7 @@ def test_esym_generators_four_two():
 def test_esym_generators_boundary_degree_one():
     gens = esym_annihilator_generators(3, 2)
     orbit = gens[3:]
-    assert all(g.homogeneous_degree() == 1 for g in orbit)
+    assert all(g.degree == 1 for g in orbit)
     assert orbit_span_dim(orbit, 1) == 2
 
 
@@ -203,10 +211,10 @@ def _orbit_by_permutations(nvars, d, field):
     base = _difference_product(pairs, None if m % 2 else m, nvars, field)
     seen = {}
     for sigma in permutations(range(nvars)):
-        image = _normalize_sign(Polynomial(nvars, field, {
+        image = _normalize_sign(Polynomial.from_terms(nvars, field, {
             tuple(mono[sigma.index(v)] for v in range(nvars)): c
-            for mono, c in base.coeffs.items()}))
-        seen.setdefault(tuple(sorted(image.coeffs.items())), image)
+            for mono, c in coeffs(base).items()}))
+        seen.setdefault(tuple(sorted(coeffs(image).items())), image)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -218,7 +226,7 @@ def test_esym_orbit_matches_the_permutation_walk(n, d):
     assert esym_annihilator_generators(n, d)[n:] == _orbit_by_permutations(n, d, QQ)
 
 
-@pytest.mark.parametrize("n,d", ESYM_PAIRS)
+@pytest.mark.parametrize("n,d", ESYM_PAIRS + [(7, d) for d in range(1, 7)])
 def test_esym_generators_generate_the_annihilator(n, d):
     # Ann(e_{n-d}) in every degree, with n + lattice_path_count(n, d) minimal
     # generators; at d = n - 1 the orbit is linear and n - 1 squares are redundant
@@ -250,6 +258,14 @@ def test_spotcheck_levelness():
     assert random_generic_level_spotcheck(3, (2, 2, 2, 2), seed=0)
     assert random_generic_level_spotcheck(3, (3, 3, 2, 3), seed=1)
     assert random_generic_level_spotcheck(2, (2, 2, 2), seed=2)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_spotcheck_is_level_on_every_degree_set_with_a_quadric(n):
+    for degrees in sorted_multisets((2, 3, 4), n + 1):
+        if 2 in degrees:
+            for seed in (0, 1):
+                assert random_generic_level_spotcheck(n, degrees, seed), (degrees, seed)
 
 
 def test_spotcheck_preconditions():
