@@ -19,9 +19,13 @@ whichever gives more.  If no other nonzero line is left, the rank is k.  A
 matrix more than half full goes to `_eliminate`.  Otherwise the other rows
 are reduced against that block and rank = k + rank(S) for their Schur
 complement S, in every field.  Over GF(p) with k·(p−1)² + p <= 2**53, S is
-formed exactly in float64 BLAS (delayed reduction, as in FFLAS-FFPACK); over
-QQ and past the bound (GF(1073741789) always) it is formed in the field by
-`_eliminate` run over the k pivot columns only.  The input is never modified.
+formed exactly in float64 BLAS (delayed reduction, as in FFLAS-FFPACK), and
+the triangular solve against the pivot block T goes by its level schedule
+(as in Anderson–Saad level scheduling): a pivot column that reads no other
+is level 0, any other is one above the highest it reads, and each level is
+solved by products alone, one per chunk of its columns.  Over QQ and past the
+bound (GF(1073741789) always) S is formed in the field by `_eliminate` run
+over the k pivot columns only.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -44,8 +48,10 @@ from .errors import FieldMismatchError, PreconditionError
 
 DEFAULT_PRIME = 65521
 PARANOIA_PRIME = 1073741789
-# columns per float64 matmul in `_schur_complement`
+# `_schur_complement`: columns per level chunk of T and per slab of B, and
+# rest rows per block of Y
 _SCHUR_BLOCK = 128
+_SCHUR_ROWS = 1536
 
 
 def _is_prime(p):
@@ -169,8 +175,13 @@ class PrimeField(_ArrayField):
     def array(self, rows, ncols):
         """A fresh len(rows) x ncols int64 array of `rows` reduced into [0, p)."""
         a = np.asarray(rows)
-        if a.dtype == object:
-            a = np.array([self.coerce(x) for x in a.ravel()], dtype=np.int64)
+        if a.dtype.kind == "u":
+            a = a % self.p  # exact in the unsigned type; int64 wraps from 2**63
+        elif a.dtype.kind not in "ib":
+            # objects, or the float64 numpy makes of ints past int64 mixed with
+            # small ones: each entry is coerced from the original number
+            items = np.asarray(rows, dtype=object).ravel()
+            a = np.array([self.coerce(x) for x in items], dtype=np.int64)
         return (np.asarray(a, dtype=np.int64) % self.p).reshape(len(rows), ncols)
 
     def reduce(self, a):
@@ -279,7 +290,8 @@ def _mod(x, p):
     """x mod p in [0, p), in place, for a float64 array of integers with
     |x| + p <= 2**53.  There x / p is never rounded across an integer, so the
     quotient floor(x / p) is exact, and so is its product with p."""
-    q = np.floor(x / p)
+    q = x / p
+    np.floor(q, out=q)
     q *= p
     x -= q
     return x
@@ -301,54 +313,124 @@ def _column_slab(i, j, v, nrows, start, stop):
     return out
 
 
+def _levels(a, q, k):
+    """The dependency level of each column of a k x k unit upper triangular T
+    with its off-diagonal nonzeros at (a, q), a < q: 0 for a column with none,
+    else 1 + the highest level among the columns a it reads.  A column is at
+    level L or above when it reads one at level L - 1 or above, so each level
+    takes one vectorized pass: depth + 1 passes."""
+    level = np.zeros(k, np.int64)
+    deep = np.ones(k, bool)  # the columns at the current level or above
+    while True:
+        reads = deep[a]
+        if not reads.any():
+            return level
+        deep = np.zeros(k, bool)
+        deep[q[reads]] = True
+        level += deep
+
+
+def _reaching(a, q, wanted):
+    """The columns of Y that the `wanted` ones read, directly or not, with the
+    wanted ones, for a unit upper triangular T with its off-diagonal nonzeros
+    at (a, q): column q of Y T = Y0 reads column a of Y.  The mask only grows,
+    so the vectorized update is repeated until it changes nothing."""
+    keep = wanted.copy()
+    while True:
+        before = keep.sum()
+        keep[a[keep[q]]] = True
+        if keep.sum() == before:
+            return keep
+
+
+def _level_schedule(i, j, v, k):
+    """Y T = Y0, for T the k x k unit upper triangular matrix with its
+    off-diagonal entries v at (i, j), as a list of steps (cols, rows, block):
+    Y[:, cols] -= Y[:, rows] @ block, in order.
+
+    The columns of one level depend only on lower levels, so each level is
+    solved by products alone, at most `_SCHUR_BLOCK` columns at a time, and
+    `rows` are the distinct earlier columns the chunk reads.
+    """
+    level = _levels(i, j, k)
+    cols = np.argsort(level, kind="stable")  # by level, then index
+    at = np.empty(k, np.int64)
+    at[cols] = np.arange(k)
+    pos = at[j]
+    order = np.argsort(pos, kind="stable")
+    i, v, pos = i[order], v[order], pos[order]
+    ends = np.searchsorted(level[cols], np.arange(level.max(initial=0) + 2))
+    steps = []
+    for lo, hi in zip(ends[1:], ends[2:]):  # levels 1 and up
+        for s in range(lo, hi, _SCHUR_BLOCK):
+            e = min(s + _SCHUR_BLOCK, hi)
+            a, b = np.searchsorted(pos, (s, e))
+            rows = np.flatnonzero(np.bincount(i[a:b]))
+            block = np.zeros((rows.size, e - s))
+            block[np.searchsorted(rows, i[a:b]), pos[a:b] - s] = v[a:b]
+            steps.append((cols[s:e], rows, block))
+    return steps
+
+
 def _schur_complement(vals, i, j, k, nrest, nother, p):
     """S = C - Y0 T^-1 B mod p for the matrix [[T, B], [Y0, C]] given by its
     nonzero residues `vals` at (i, j), where T is k x k and upper triangular
-    with a nonzero diagonal.  `vals` is overwritten.
+    with a nonzero diagonal.
 
-    Only Y (nrest x k), C and S (nrest x nother) are held dense; T and B are
-    unpacked one block of columns at a time.
+    Only the columns of Y = Y0 T^-1 that meet B reach S, so T, B and Y0 are
+    first cut down to those and to the columns they read (`_reaching`).  Y T =
+    Y0 is then solved by the level schedule of T (`_level_schedule`), built
+    once, and S = C - Y B is formed with B unpacked `_SCHUR_BLOCK` columns at a
+    time.  Each row of Y and S depends only on its own rows of Y0 and C, so the
+    rest rows go through in blocks of `_SCHUR_ROWS`: only S (nrest x nother)
+    and one row block of Y are held dense.
     """
     top, left = i < k, j < k
-    diag = top & (i == j)
-    heads = vals[diag].tolist()
+    s = np.zeros((nrest, nother))
+    c = ~top & ~left
+    s[i[c] - k, j[c] - k] = vals[c]
+    t, d, b, y0 = top & left & (i != j), top & (i == j), top & ~left, ~top & left
+    diag = np.empty(k)
+    diag[i[d]] = vals[d]
+    ti, tj, tv = i[t], j[t], vals[t]
+    bi, bj, bv = i[b], j[b] - k, vals[b]
+    yi, yj, yv = i[y0] - k, j[y0], vals[y0]
+    del i, j, vals, top, left, t, d, b, y0, c  # `_rank` makes the inputs for this call
+    wanted = np.zeros(k, bool)
+    wanted[bi] = True
+    keep = _reaching(ti, tj, wanted)
+    at = np.cumsum(keep) - 1  # the new number of each kept column
+    mine = keep[tj]
+    ti, tj, tv = at[ti[mine]], at[tj[mine]], tv[mine]
+    mine = keep[yj]
+    yi, yj, yv = yi[mine], at[yj[mine]], yv[mine]
+    bi, meets_b, heads = at[bi], wanted[keep], diag[keep].tolist()
+    m = len(heads)
+    # dividing the rows of T and B by T's diagonal makes T unit upper triangular
     inverse = {x: pow(int(x), -1, p) for x in set(heads)}
-    inv = np.empty(k)
-    inv[i[diag]] = [inverse[x] for x in heads]
-    vals[top] = _mod(vals[top] * inv[i[top]], p)  # T is now unit upper triangular
-    by_col = np.argsort(j, kind="stable")
-    i, j, vals, top, left = i[by_col], j[by_col], vals[by_col], top[by_col], left[by_col]
-    y = np.zeros((nrest, k), order="F")
-    y[i[~top & left] - k, j[~top & left]] = vals[~top & left]
-    c = np.zeros((nrest, nother))
-    c[i[~top & ~left] - k, j[~top & ~left] - k] = vals[~top & ~left]
-    t = i[top & left], j[top & left], vals[top & left]
-    b = i[top & ~left], j[top & ~left] - k, vals[top & ~left]
-    # Y T = Y0: one matmul per block of columns for the earlier blocks, then
-    # back-substitution on the block's few nonzeros.
-    used = np.zeros(k, bool)  # the columns of Y solved so far that hold a nonzero
-    for s in range(0, k, _SCHUR_BLOCK):
-        e = min(s + _SCHUR_BLOCK, k)
-        ts = _column_slab(*t, e, s, e)
-        inner = np.flatnonzero(ts[:s].any(axis=1) & used[:s])
-        if inner.size:
-            _sub_mod(y[:, s:e], y[:, inner], ts[inner], p)
-        for q in range(s + 1, e):
-            inner = s + np.flatnonzero(ts[s:q, q - s])
-            if inner.size:
-                _sub_mod(y[:, q], y[:, inner], ts[inner, q - s], p)
-        used[s:e] = y[:, s:e].any(axis=0)
-    inner = np.flatnonzero(used & (np.bincount(b[0], minlength=k) > 0))
-    # keep only the columns of Y that meet B, compacted in place: inner[m] >= m,
-    # so a block is written only over columns no later block reads
-    for s in range(0, inner.size, _SCHUR_BLOCK):
-        block = inner[s:s + _SCHUR_BLOCK]
-        y[:, s:s + block.size] = y[:, block]
-    y = y[:, :inner.size]
-    for s in range(0, nother, _SCHUR_BLOCK):
-        e = min(s + _SCHUR_BLOCK, nother)
-        _sub_mod(c[:, s:e], y, _column_slab(*b, k, s, e)[inner], p)
-    return c
+    inv = np.array([inverse[x] for x in heads])
+    steps = _level_schedule(ti, tj, _mod(tv * inv[ti], p), m)
+    order = np.argsort(bj, kind="stable")  # B by column, for `_column_slab`
+    b = bi[order], bj[order], _mod(bv[order] * inv[bi[order]], p)
+    for r in range(0, nrest, _SCHUR_ROWS):
+        e = min(r + _SCHUR_ROWS, nrest)
+        mine = (yi >= r) & (yi < e)
+        y = np.zeros((e - r, m), order="F")
+        y[yi[mine] - r, yj[mine]] = yv[mine]
+        for cols, rows, block in steps:
+            y[:, cols] = _sub_mod(y[:, cols], y[:, rows], block, p)
+        inner = np.flatnonzero(y.any(axis=0) & meets_b)
+        # keep only the nonzero columns of Y that meet B, compacted in place:
+        # inner[n] >= n, so a block is written only over columns no later
+        # block reads
+        for t in range(0, inner.size, _SCHUR_BLOCK):
+            cols = inner[t:t + _SCHUR_BLOCK]
+            y[:, t:t + cols.size] = y[:, cols]
+        y = y[:, :inner.size]
+        for t in range(0, nother, _SCHUR_BLOCK):
+            u = min(t + _SCHUR_BLOCK, nother)
+            _sub_mod(s[r:e, t:u], y, _column_slab(*b, m, t, u)[inner], p)
+    return s
 
 
 def _exact_schur_complement(g, k, field):
@@ -434,7 +516,8 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     col_at[col_order] = np.arange(col_order.size)
     p = field.characteristic
     # Exactness: every float64 product in `_schur_complement` is at most
-    # (p - 1)**2 and every sum has at most k terms, so with
+    # (p - 1)**2, and every sum, whether a level product of the solve or a
+    # product with a slab of B, has at most k terms, so with
     # k·(p−1)² + p <= 2**53 all partial sums and the reductions in `_mod` are
     # exact integers.
     if p and k * (p - 1) ** 2 + p <= 2**53:

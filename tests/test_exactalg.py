@@ -24,7 +24,9 @@ from bettiforge.exactalg import (
     RowBasis,
     SparseRows,
     _eliminate,
+    _exact_schur_complement,
     _mod,
+    _schur_complement,
     _sub_mod,
     rank_of_rows,
 )
@@ -84,6 +86,15 @@ def test_field_from_spec():
 def test_prime_coerces_fractions():
     f = GF_DEFAULT
     assert f.coerce(Fraction(1, 2)) * 2 % f.p == 1
+
+
+@pytest.mark.parametrize("x", [2**63 + 5, 2**64 + 5, -2**63 - 5])
+def test_prime_array_reduces_big_ints_exactly(x):
+    # numpy reads [[2**63 + 5]] as uint64, [[2**63 + 5, 1]] as float64, and
+    # the other two values as objects
+    for row in ([x], [x, 1]):
+        a = GF_DEFAULT.array([row], len(row))
+        assert a.dtype == np.int64 and a.tolist() == [[v % DEFAULT_PRIME for v in row]]
 
 
 small_matrices = st.integers(1, 3).flatmap(
@@ -368,8 +379,8 @@ def test_sparse_rows_rank_matches_dense_rank(a):
 
 
 def test_structural_rank_across_blocks():
-    # more than two solve blocks of pivots, rows mixing them, and noise that
-    # leaves a Schur complement of rank 20
+    # pivots over more than two 128-column chunks of T and slabs of B, rows
+    # mixing them, and noise that leaves a Schur complement of rank 20
     rng = np.random.default_rng(11)
     block = _echelon(rng, 300, 330, 0.03)
     mix = rng.integers(-2, 3, (60, 300)) * (rng.random((60, 300)) < 0.03)
@@ -378,6 +389,74 @@ def test_structural_rank_across_blocks():
     a = np.concatenate([block, mix @ block + noise])
     for field in RANK_FIELDS[1:]:
         assert rank_of_rows(a, 330, field) == _eliminated_rank(a, 330, field)
+
+
+def _schur_matches_exact(t, nrest, nother, seed, density=0.3, b_rows=None):
+    """`_schur_complement` on [[T, B], [Y0, C]], with random B (nonzero only
+    in `b_rows`, if given), Y0 and C and the coordinates in shuffled order,
+    equals `_exact_schur_complement`."""
+    rng = np.random.default_rng(seed)
+    p, k = DEFAULT_PRIME, len(t)
+    g = rng.integers(1, p, (k + nrest, k + nother)) * (rng.random((k + nrest, k + nother)) < density)
+    g[:k, :k] = t % p
+    if b_rows is not None:
+        g[np.setdiff1d(np.arange(k), b_rows), k:] = 0
+    i, j = np.nonzero(g)
+    shuffle = rng.permutation(i.size)
+    i, j = i[shuffle], j[shuffle]
+    got = _schur_complement(g[i, j].astype(np.float64), i, j, k, nrest, nother, p)
+    want = _exact_schur_complement(g.copy(), k, GF_DEFAULT)
+    assert got.dtype == np.float64 and got.tolist() == want.tolist()
+
+
+def _upper(rng, k, density):
+    """A k x k upper triangular integer matrix with a nonzero diagonal."""
+    t = np.triu(rng.integers(-9, 10, (k, k)) * (rng.random((k, k)) < density), 1)
+    return t + np.diag(rng.integers(1, 9, k))
+
+
+def test_schur_complement_on_a_chain_as_deep_as_t():
+    # bidiagonal: column q reads column q - 1, so every level holds one
+    # column, and the chain crosses the 128-column chunks
+    t = np.diag(np.arange(1, 301)) + np.diag(np.full(299, -3), 1)
+    _schur_matches_exact(t, 9, 6, seed=1)
+
+
+def test_schur_complement_on_a_level_wider_than_a_chunk():
+    # every other column reads column 0 only: one level of 299 columns
+    t = np.diag(np.arange(1, 301))
+    t[0, 1:] = 5
+    _schur_matches_exact(t, 9, 6, seed=5)
+
+
+def test_schur_complement_on_a_diagonal_t():
+    # no column reads another: nothing is solved past level 0
+    _schur_matches_exact(np.diag(np.arange(2, 152)), 12, 8, seed=2)
+
+
+@pytest.mark.parametrize("k", [1, 127, 203, 333])
+def test_schur_complement_on_a_sparse_t(k):
+    _schur_matches_exact(_upper(np.random.default_rng(k), k, 0.02), 17, 11, seed=k)
+
+
+def test_schur_complement_where_b_meets_few_pivot_rows():
+    # only the columns of Y that meet B, and the columns they read, are
+    # solved: on a chain with B in row 120, columns 0..120
+    t = np.diag(np.arange(1, 201)) + np.diag(np.full(199, 7), 1)
+    _schur_matches_exact(t, 15, 9, seed=6, b_rows=[120])
+    _schur_matches_exact(_upper(np.random.default_rng(6), 200, 0.05), 15, 9, seed=6, b_rows=[3, 77, 150])
+
+
+def test_schur_complement_with_no_other_columns():
+    # B and C are empty, so S is nrest x 0
+    _schur_matches_exact(_upper(np.random.default_rng(3), 40, 0.1), 7, 0, seed=3)
+
+
+def test_schur_complement_over_several_row_blocks():
+    # the rest rows go through in blocks of `_SCHUR_ROWS`, the last one short
+    k = 45
+    _schur_matches_exact(_upper(np.random.default_rng(4), k, 0.1), exactalg._SCHUR_ROWS + 37, 20,
+                         seed=4, density=0.05)
 
 
 def _raise(*args, **kwargs):
