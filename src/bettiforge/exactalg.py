@@ -4,11 +4,19 @@ Field elements are plain numbers: an int in [0, p) for GF(p), a
 `fractions.Fraction` for QQ, so Python's own operators do the scalar
 arithmetic.  A field object supplies only `coerce` (a number into that form)
 and `inv` as scalar operations, next to the few array operations the kernels
-need (`zeros`, `array`, `reduce`, `sub_matmul`, `safe_terms`).  GF(p),
+need (`zeros`, `array`, `reduce`, `sub_matmul`, `safe_terms`) and the
+elimination steps (`numerators`, `pivot_step`, `pivot_rows`).  GF(p),
 p < 2**31 prime, keeps residues in [0, p) in int64 arrays, so every product
 fits a 64-bit intermediate; QQ keeps normalized Fraction entries in object
 arrays.  One elimination routine, `_eliminate`, serves both fields, and every
-structure here is built on it.
+structure here is built on it.  Over QQ it does no Fraction arithmetic: each
+row is first scaled to integers (which changes neither the rank nor the
+reduced row echelon form), eliminated fraction-free with each row's content
+divided out after each step, and divided by its pivot only where a reduced
+basis is handed out.  The integers are int64 while every entry stays below
+`_INT64_BOUND` = 2**31 in absolute value, so that each update
+piv·x − y·z stays below 2·(2**31 − 1)**2 < 2**63; one max checks the bound
+after every step, and where it fails the call restarts on Python ints.
 
 Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010), and
 work on a matrix's nonzero coordinates: only a Schur complement, or a matrix
@@ -24,8 +32,9 @@ the triangular solve against the pivot block T goes by its level schedule
 (as in Anderson–Saad level scheduling): a pivot column that reads no other
 is level 0, any other is one above the highest it reads, and each level is
 solved by products alone, one per chunk of its columns.  Over QQ and past the
-bound (GF(1073741789) always) S is formed in the field by `_eliminate` run
-over the k pivot columns only.  The input is never modified.
+bound (GF(1073741789) always) S is formed by `_eliminate` run over the k pivot
+columns only: in the field over GF(p), and over QQ on the integers, up to row
+scaling, under the int64 bound above.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -52,6 +61,14 @@ PARANOIA_PRIME = 1073741789
 # rest rows per block of Y
 _SCHUR_BLOCK = 128
 _SCHUR_ROWS = 1536
+# every entry of an int64 integer elimination over QQ stays below this in
+# absolute value (`RationalField.pivot_step`)
+_INT64_BOUND = 2**31
+
+
+class _Int64Overflow(ArithmeticError):
+    """An int64 elimination over QQ reached `_INT64_BOUND`; the call restarts
+    on Python ints (`_exactly`)."""
 
 
 def _is_prime(p):
@@ -98,6 +115,14 @@ class RationalField(_ArrayField):
 
     Arrays have dtype object and hold Fraction entries only, so no division
     ever falls back to floats; sums of products never overflow.
+
+    Eliminations do no Fraction arithmetic.  `numerators` scales each row to
+    integers, which changes neither the rank nor the reduced row echelon form,
+    and `pivot_step` keeps them integers (fraction-free, after Bareiss, Math.
+    Comp. 22, 1968), so a reduced row is divided by its pivot only where a
+    basis is handed out (`pivot_rows`).  The integers are int64 while every
+    entry stays below `_INT64_BOUND` in absolute value, else Python ints in an
+    object array.
     """
 
     characteristic = 0
@@ -124,6 +149,64 @@ class RationalField(_ArrayField):
 
     def reduce(self, a):
         return a
+
+    def numerators(self, rows, vals, wide=False):
+        """The nonzero rationals `vals` in the sorted `rows` as integers: each
+        row times the lcm of its denominators, then divided by the gcd of the
+        products.  int64 while every one is below `_INT64_BOUND` in absolute
+        value and not `wide`, else Python ints in an object array."""
+        if not vals.size:
+            return np.zeros(0, np.int64)
+        first = _starts(rows)
+        starts, row = np.flatnonzero(first), np.cumsum(first) - 1
+        vals = vals.tolist()
+        num = np.array([x.numerator for x in vals], object)
+        den = np.array([x.denominator for x in vals], object)
+        num *= np.lcm.reduceat(den, starts)[row] // den
+        num //= np.gcd.reduceat(num, starts)[row]
+        if wide or np.abs(num).max() >= _INT64_BOUND:
+            return num
+        return num.astype(np.int64)
+
+    def row_numerators(self, a, wide=False):
+        """The array `a` with each row scaled to integers, as by `numerators`."""
+        rows, cols = np.nonzero(a.astype(bool))
+        vals = self.numerators(rows, a[rows, cols], wide)
+        out = np.zeros(a.shape, vals.dtype)
+        out[rows, cols] = vals
+        return out
+
+    def pivot_step(self, a, r, c, rows):
+        """Clear column c of the integer array `a` in `rows` with pivot row r:
+        row_i <- a[r, c]·row_i − a[i, c]·row_r on the union of their nonzero
+        columns, then row_i is divided by the gcd of its entries.
+
+        Exactness: in int64 every entry is below `_INT64_BOUND` = 2**31 in
+        absolute value, so each new entry is at most 2·(2**31 − 1)**2 < 2**63;
+        one max over the new entries checks that they are still below the
+        bound, and `_Int64Overflow` is raised before any is written if not.
+        """
+        if not rows.size:
+            return
+        cols = np.flatnonzero(a[r].astype(bool) | a[rows].astype(bool).any(axis=0))
+        block = np.ix_(rows, cols)
+        new = a[r, c] * a[block] - np.outer(a[rows, c], a[r, cols])
+        content = np.gcd.reduce(new, axis=1)
+        content[content == 0] = 1
+        new //= content[:, None]
+        if new.dtype != object and np.abs(new).max() >= _INT64_BOUND:
+            raise _Int64Overflow
+        a[block] = new
+
+    def pivot_rows(self, a, pivots):
+        """The rows of `a`, each divided by its entry at its pivot, as a
+        Fraction array: the reduced rows once `_eliminate` has run with `full`."""
+        out = self.zeros(a.shape)
+        rows, cols = np.nonzero(a.astype(bool))
+        heads = a[np.arange(len(pivots)), pivots].tolist()
+        out[rows, cols] = [Fraction(x, heads[i])
+                           for x, i in zip(a[rows, cols].tolist(), rows.tolist())]
+        return out
 
     def __repr__(self):
         return "QQ"
@@ -187,6 +270,28 @@ class PrimeField(_ArrayField):
     def reduce(self, a):
         return a % self.p
 
+    def numerators(self, rows, vals, wide=False):
+        """Residues need no scaling: `vals` as they are."""
+        return vals
+
+    def row_numerators(self, a, wide=False):
+        """Residues need no scaling: `a` as it is."""
+        return a
+
+    def pivot_step(self, a, r, c, rows):
+        """Scale pivot row r of `a` to 1 at column c and clear column c in
+        `rows`, on the pivot row's nonzero columns."""
+        nzc = np.flatnonzero(a[r])
+        prow = self.reduce(a[r, nzc] * self.inv(a[r, c]))
+        a[r, nzc] = prow
+        if rows.size:
+            block = np.ix_(rows, nzc)
+            a[block] = self.reduce(a[block] - np.outer(a[rows, c], prow))
+
+    def pivot_rows(self, a, pivots):
+        """`_eliminate` has already scaled every pivot to 1."""
+        return a
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -233,15 +338,18 @@ def same_field(*fields):
 
 
 def _eliminate(a, field, full, stop=None):
-    """Row-reduce the field array `a` in place and return its pivot columns.
+    """Row-reduce the array `a` in place and return its pivot columns.
 
     Pivot choice is deterministic: columns left to right, lowest remaining
-    row.  Each pivot row is scaled to 1 at its pivot.  With `full`, the pivot
-    column is cleared in every other row, which leaves the reduced row echelon
-    form in the first rank rows; without it only the rows below are cleared,
-    which is all the rank needs.  Updates touch only the pivot row's nonzero
-    columns, which keeps sparse rows cheap and object arrays affordable.
-    With `stop`, only the first `stop` columns are pivoted on.
+    row.  The field's `pivot_step` clears each pivot column: over GF(p) `a`
+    holds residues and each pivot row is scaled to 1 at its pivot, over QQ
+    `a` holds integers (`RationalField.numerators`) and every row stays an
+    integer multiple of what GF(p) arithmetic would leave there.  With
+    `full`, the pivot column is cleared in every other row, which leaves the
+    reduced row echelon form, up to row scaling over QQ (`pivot_rows`), in
+    the first rank rows; without it only the rows below are cleared, which is
+    all the rank needs.  With `stop`, only the first `stop` columns are
+    pivoted on.
     """
     nrows, ncols = a.shape
     pivots = []
@@ -255,18 +363,22 @@ def _eliminate(a, field, full, stop=None):
         if nz[0]:
             i = r + int(nz[0])
             a[[r, i]] = a[[i, r]]
-        nzc = np.flatnonzero(a[r])
-        prow = field.reduce(a[r, nzc] * field.inv(a[r, c]))
-        a[r, nzc] = prow
         # after the swap, row r + nz[0] holds the old row r, which was zero at c
         rows = r + nz[1:]
         if full:
             rows = np.concatenate([np.flatnonzero(a[:r, c]), rows])
-        if rows.size:
-            block = np.ix_(rows, nzc)
-            a[block] = field.reduce(a[block] - np.outer(a[rows, c], prow))
+        field.pivot_step(a, r, c, rows)
         pivots.append(c)
     return pivots
+
+
+def _exactly(run):
+    """run(False), and where an int64 elimination over QQ reaches
+    `_INT64_BOUND`, run(True): the same call on Python ints."""
+    try:
+        return run(False)
+    except _Int64Overflow:
+        return run(True)
 
 
 def _starts(x):
@@ -434,8 +546,11 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
 
 
 def _exact_schur_complement(g, k, field):
-    """S = C - Y0 T^-1 B for the field array g = [[T, B], [Y0, C]], where T is
-    k x k and upper triangular with a nonzero diagonal; g is overwritten.
+    """S = C - Y0 T^-1 B for the array g = [[T, B], [Y0, C]], where T is k x k
+    and upper triangular with a nonzero diagonal; g is overwritten.  Over
+    GF(p) g holds residues and S is exact; over QQ g holds integers
+    (`RationalField.numerators`) and S comes back up to row scaling, which
+    keeps its rank.
 
     `_eliminate` over the first k columns pivots on T's diagonal in order: the
     rows of T below a pivot are zero in its column, so only the Y0 rows are
@@ -467,22 +582,23 @@ class SparseRows:
         return (self.vals[a:b] for a, b in zip(ends, ends[1:]))
 
 
-def _coordinates(a, nonzero, field):
+def _coordinates(a, nonzero, dtype):
     """The entries of the dense array `a` where the mask `nonzero` holds,
-    sorted by (row, column), as rows, columns and values in the field's dtype."""
+    sorted by (row, column), as rows, columns and values of `dtype`."""
     rows, cols = np.nonzero(nonzero)
-    return rows, cols, np.asarray(a[rows, cols], field.dtype)
+    return rows, cols, np.asarray(a[rows, cols], dtype)
 
 
 def _rank(rows, cols, vals, nrows, ncols, field):
-    """Rank of the nrows x ncols matrix with the nonzero field elements `vals`
-    at (`rows`, `cols`), sorted by (row, column).
+    """Rank of the nrows x ncols matrix with the nonzero entries `vals` at
+    (`rows`, `cols`), sorted by (row, column): residues over GF(p), integers
+    over QQ (`RationalField.numerators`).
 
     The pivots of a structural echelon block (`_structural_pivots` on the rows
     or on the columns, whichever gives more) count without arithmetic.  The
     other lines go into the Schur complement S of the pivot block, and
     rank = k + rank(S).  S is formed in float64 BLAS over GF(p) where that is
-    exact (`_schur_complement`), else in the field (`_exact_schur_complement`,
+    exact (`_schur_complement`), else by `_eliminate` (`_exact_schur_complement`,
     on the block matrix filled from the coordinates).  Only S, or a matrix more
     than half full, is ever held dense.
     """
@@ -502,7 +618,7 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     # of the recursion would peel off only those few at a fixed cost, so it is
     # eliminated directly.
     if 2 * vals.size > nrows * ncols:
-        a = field.zeros((nrows, ncols))
+        a = np.zeros((nrows, ncols), vals.dtype)
         a[rows, cols] = vals
         return len(_eliminate(a, field, full=False))
     # number the pivot lines, then the rest; the pivot columns, then the others
@@ -524,19 +640,22 @@ def _rank(rows, cols, vals, nrows, ncols, field):
         schur = _schur_complement(vals.astype(np.float64), row_at[rows], col_at[cols], k,
                                   rest.size, col_order.size - k, p)
     else:
-        g = field.zeros((row_order.size, col_order.size))
+        g = np.zeros((row_order.size, col_order.size), vals.dtype)
         g[row_at[rows], col_at[cols]] = vals
         schur = _exact_schur_complement(g, k, field)
     return k + _schur_rank(schur, field)
 
 
 def _schur_rank(s, field):
-    """Rank of a dense Schur complement.  More than half full, it goes straight
-    to `_eliminate`: its coordinates would take four times its size."""
-    nonzero = s.astype(bool)  # astype: 3x faster than != 0 on Fractions
+    """Rank of a dense Schur complement: float64 residues from
+    `_schur_complement`, ranked as int64, or the integers or residues of
+    `_exact_schur_complement`.  More than half full, it goes straight to
+    `_eliminate`: its coordinates would take four times its size."""
+    dtype = np.int64 if s.dtype == np.float64 else s.dtype
+    nonzero = s.astype(bool)
     if 2 * np.count_nonzero(nonzero) > s.size:
-        return len(_eliminate(np.asarray(s, field.dtype), field, full=False))
-    return _rank(*_coordinates(s, nonzero, field), *s.shape, field)
+        return len(_eliminate(np.asarray(s, dtype), field, full=False))
+    return _rank(*_coordinates(s, nonzero, dtype), *s.shape, field)
 
 
 def rank_of_rows(rows, ncols, field):
@@ -546,20 +665,35 @@ def rank_of_rows(rows, ncols, field):
     `rows` is never modified.  `SparseRows` are ranked from their coordinates
     as they are.  An int64 array already reduced into [0, p) is read in
     place, anything else goes through `field.array` first, and either is
-    scanned once for its coordinates.  The rank is k, the number of
-    structural pivots, plus the rank of their Schur complement: in float64
-    over GF(p) with k·(p−1)² + p <= 2⁵³, in the field over QQ and past the
-    bound (always for GF(1073741789)).  A matrix more than half full comes
-    from `_eliminate`, unless the structural pivots already account for every
+    scanned once for its coordinates.  Over QQ each row is then scaled to
+    integers (`RationalField.numerators`), int64 first, Python ints where
+    int64 would pass its bound.  The rank is k, the number of structural
+    pivots, plus the rank of their Schur complement: in float64 over GF(p)
+    with k·(p−1)² + p <= 2⁵³, by `_eliminate` over QQ and past the bound
+    (always for GF(1073741789)).  A matrix more than half full comes from
+    `_eliminate`, unless the structural pivots already account for every
     nonzero line.
     """
+    nrows = len(rows)
     if isinstance(rows, SparseRows):
-        return _rank(rows.rows, rows.cols, rows.vals, len(rows), ncols, field)
-    p = field.characteristic
-    if not (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
-            and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
-        rows = field.array(rows, ncols)
-    return _rank(*_coordinates(rows, rows.astype(bool), field), *rows.shape, field)
+        r, c, v = rows.rows, rows.cols, rows.vals
+    else:
+        p = field.characteristic
+        if not (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+                and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
+            rows = field.array(rows, ncols)
+        r, c, v = _coordinates(rows, rows.astype(bool), rows.dtype)
+    return _exactly(lambda wide: _rank(r, c, field.numerators(r, v, wide), nrows, ncols, field))
+
+
+def _reduced(a, field):
+    """The pivot columns and the reduced row echelon rows, one per pivot, of
+    the field array `a`, which may be overwritten."""
+    def run(wide):
+        b = field.row_numerators(a, wide)
+        pivots = _eliminate(b, field, full=True)
+        return pivots, field.pivot_rows(b[:len(pivots)], pivots)
+    return _exactly(run)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +721,10 @@ class RowBasis:
 
     @classmethod
     def from_rows(cls, rows, ncols, field):
-        a = field.array(rows, ncols)
-        pivots = _eliminate(a, field, full=True)
+        pivots, reduced = _reduced(field.array(rows, ncols), field)
         pivot_set = set(pivots)
         support = [c for c in range(ncols) if c not in pivot_set]
-        return cls(ncols, field, pivots, support, a[:len(pivots)][:, support])
+        return cls(ncols, field, pivots, support, reduced[:, support])
 
     @classmethod
     def full(cls, ncols, field):
@@ -650,10 +783,9 @@ class Accumulator(RowBasis):
         a = fld.array(rows, self.ncols)
         support = list(self.support)
         block = fld.sub_matmul(a[:, support], a[:, list(self.pivots)], self.tails)
-        new = _eliminate(block, fld, full=True)
+        new, block = _reduced(block, fld)
         if not new:
             return None
-        block = block[:len(new)]
         fld.sub_matmul(self.tails, self.tails[:, new], block)
         pivots = list(self.pivots) + [support[q] for q in new]
         order = np.argsort(pivots, kind="stable")

@@ -120,7 +120,7 @@ def _rref_reference(rows):
     array kernel (columns left to right, lowest remaining row), no numpy."""
     a = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    for c in range(len(a[0])):
+    for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         hit = next((i for i in range(r, len(a)) if a[i][c]), None)
         if hit is None:
@@ -294,6 +294,10 @@ RANK_FIELDS = (QQ, PrimeField(2), PrimeField(3), GF_DEFAULT, GF_PARANOIA)
 
 
 def _eliminated_rank(rows, ncols, field):
+    # `_eliminate` over QQ runs on integers, so the rationals take the plain
+    # Fraction reference
+    if field == QQ:
+        return len(_rref_reference(np.asarray(rows).tolist())[0])
     return len(_eliminate(field.array(rows, ncols), field, full=False))
 
 
@@ -389,6 +393,108 @@ def test_structural_rank_across_blocks():
     a = np.concatenate([block, mix @ block + noise])
     for field in RANK_FIELDS[1:]:
         assert rank_of_rows(a, 330, field) == _eliminated_rank(a, 330, field)
+
+
+def _with_denominators(args, most=30):
+    """The integer matrix with every entry divided by its own denominator in
+    1..most, as Fraction rows, and its column count."""
+    a, seed = args
+    den = np.random.default_rng(seed).integers(1, most + 1, a.shape)
+    return [[Fraction(x, d) for x, d in zip(row, drow)]
+            for row, drow in zip(a.tolist(), den.tolist())], a.shape[1]
+
+
+def _assert_reduces_like_the_reference(rows, ncols, blocks):
+    """Over QQ, the rank, `RowBasis.from_rows` and an `Accumulator` fed
+    `blocks` row blocks all equal the plain Fraction reference."""
+    pivots, reduced = _rref_reference(rows)
+    assert rank_of_rows(rows, ncols, QQ) == len(pivots)
+    dense = QQ.array(rows, ncols)
+    i, j = np.nonzero(dense.astype(bool))
+    assert rank_of_rows(SparseRows(len(rows), i, j, dense[i, j]), ncols, QQ) == len(pivots)
+    acc = Accumulator(ncols, QQ)
+    cuts = np.linspace(0, len(rows), blocks + 1).astype(int).tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        acc.absorb(rows[a:b])
+    for basis in (RowBasis.from_rows(rows, ncols, QQ), acc):
+        assert list(basis.pivots) == pivots
+        assert basis.tails.tolist() == [[row[c] for c in basis.support] for row in reduced]
+        assert all(type(x) is Fraction for x in basis.tails.flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(branch_matrices(), st.integers(0, 2**32 - 1)).map(_with_denominators),
+       st.integers(1, 3))
+def test_rational_entries_match_the_reference(rows_and_ncols, blocks):
+    # every branch of `_rank` (the echelon block, the dense > 1/2 branch, the
+    # exact Schur recursion) on rationals, ranked and reduced on integers
+    _assert_reduces_like_the_reference(*rows_and_ncols, blocks)
+
+
+def _dtypes(monkeypatch, name, arg):
+    """The dtype of argument `arg` of every call of `exactalg.<name>` from now on."""
+    seen, real = [], getattr(exactalg, name)
+
+    def spy(*args, **kwargs):
+        seen.append(args[arg].dtype)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactalg, name, spy)
+    return seen
+
+
+def _big_rationals(rng, nrows, ncols, rank):
+    """A sparse nrows x ncols matrix of the given rank whose rows, cleared of
+    denominators, pass `exactalg._INT64_BOUND`: an echelon block of `rank`
+    rows with numerators near 2**40 over powers of 3 up to 3**20, then rows
+    that mix a few of them with small coefficients."""
+    nonzero = _echelon(rng, rank, ncols, 0.2).astype(bool)
+    num = rng.integers(2**40 - 2**20, 2**40, nonzero.shape) * rng.choice([-1, 1], nonzero.shape)
+    den = 3 ** rng.integers(0, 21, nonzero.shape)
+    top = [[Fraction(x, d) for x, d in zip(row, drow)]
+           for row, drow in zip((num * nonzero).tolist(), den.tolist())]
+    mix = rng.integers(-2, 3, (nrows - rank, rank)) * (rng.random((nrows - rank, rank)) < 0.3)
+    return top + [[sum((m * row[c] for m, row in zip(coef, top)), Fraction(0)) for c in range(ncols)]
+                  for coef in mix.tolist()]
+
+
+def test_rows_past_the_int64_bound_take_python_ints(monkeypatch):
+    rng = np.random.default_rng(18)
+    for nrows, ncols, rank in ((8, 10, 5), (16, 30, 10)):
+        rows = _big_rationals(rng, nrows, ncols, rank)
+        assert len(_rref_reference(rows)[0]) == rank
+        ranked, schur = _dtypes(monkeypatch, "_rank", 2), _dtypes(monkeypatch, "_exact_schur_complement", 0)
+        eliminated = _dtypes(monkeypatch, "_eliminate", 0)
+        _assert_reduces_like_the_reference(rows, ncols, 2)
+        # an absorbed block whose residual is zero is eliminated in int64
+        assert set(ranked) == set(schur) == {np.dtype(object)} and np.dtype(object) in eliminated
+        monkeypatch.undo()
+
+
+def test_entries_that_grow_past_the_int64_bound_restart_on_python_ints(monkeypatch):
+    # the cleared rows start below 2**31, so int64 is tried first; the first
+    # pivot step makes products near 2**60 and the call restarts
+    rows = np.random.default_rng(5).integers(2**30, 2**31, (6, 6)).tolist()
+    for run in (lambda: rank_of_rows(rows, 6, QQ), lambda: RowBasis.from_rows(rows, 6, QQ)):
+        eliminated = _dtypes(monkeypatch, "_eliminate", 0)
+        run()
+        assert eliminated == [np.dtype(np.int64), np.dtype(object)]
+        monkeypatch.undo()
+    _assert_reduces_like_the_reference(rows, 6, 3)
+
+
+def test_small_rationals_stay_on_int64(monkeypatch):
+    # an echelon block and rows that mix it, with denominators 1..6
+    rng = np.random.default_rng(7)
+    for seed in range(20):
+        a = _echelon(rng, 6, 10, 0.2)
+        a = np.concatenate([a, rng.integers(-2, 3, (4, len(a))) @ a + (rng.random((4, 10)) < 0.1)])
+        rows, ncols = _with_denominators((a, seed), most=6)
+        ranked, eliminated = _dtypes(monkeypatch, "_rank", 2), _dtypes(monkeypatch, "_eliminate", 0)
+        _assert_reduces_like_the_reference(rows, ncols, 2)
+        assert ranked and eliminated
+        assert set(ranked) == set(eliminated) == {np.dtype(np.int64)}
+        monkeypatch.undo()
 
 
 def _schur_matches_exact(t, nrest, nother, seed, density=0.3, b_rows=None):

@@ -8,6 +8,7 @@ from bettiforge import (
     DegreeSequence,
     Polynomial,
     betti_aci_odd,
+    betti_formula,
     betti_from_quotient,
     colon_ideal,
     gorenstein_linked_hilbert,
@@ -278,6 +279,24 @@ def test_prime_and_rational_oracles_agree():
         for ds in odd_parity_sweep([1, 2, 3]):
             args = (ds.nvars, ds.degrees, ds.ell_power, kind)
             assert oracle_table(*args, "qq") == oracle_table(*args, "p") == oracle_table(*args, "P")
+
+
+def test_rational_oracle_at_four_quartics(monkeypatch):
+    # aci (4,4,4,4) e=4: the QQ ranks recurse through exact Schur complements,
+    # all on int64 numerators
+    seen = []
+
+    def spy(g, k, field):
+        seen.append((field, g.dtype))
+        return exact_schur(g, k, field)
+
+    exact_schur = exactalg._exact_schur_complement
+    monkeypatch.setattr(exactalg, "_exact_schur_complement", spy)
+    ds = DegreeSequence(4, (4, 4, 4, 4), 4)
+    table = minimal_betti_oracle(power_ideal(ds.degrees, ds.ell_power, QQ))
+    assert seen and set(seen) == {(QQ, np.dtype(np.int64))}
+    args = (4, ds.degrees, ds.ell_power, "aci")
+    assert table == oracle_table(*args, "p") == oracle_table(*args, "P") == betti_formula(ds, "aci")
 
 
 @pytest.mark.slow
