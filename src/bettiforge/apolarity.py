@@ -137,7 +137,9 @@ def lefschetz_check(source, ell=None, mode="SLP"):
     """Rank every multiplication map by powers of the candidate linear form.
 
     SLP mode checks all powers j >= 1 with i + j inside the socle range, WLP
-    mode only j = 1.  The verdict speaks for the tested form only.
+    mode only j = 1.  The verdict speaks for the tested form only.  The maps
+    by ℓ are built once per degree, and up to sign the map by ℓ^j from
+    degree i is the one by ℓ from degree i + j − 1 after the one by ℓ^(j−1).
     """
     mode = mode.upper()
     if mode not in ("SLP", "WLP"):
@@ -154,15 +156,18 @@ def lefschetz_check(source, ell=None, mode="SLP"):
         ell = standard_linear_form(n, fld)
     powers = range(1, 2) if mode == "WLP" else range(1, s + 1)
     checks = []
-    ell_pow = Polynomial.constant(1, n, fld)
+    step = [quot.mult_poly(ell, d) for d in range(s)]
+    maps = step[:]
     for jpow in powers:
-        ell_pow = ell_pow * ell
         for i in range(0, s - jpow + 1):
             h0, h1 = quot.hf(i), quot.hf(i + jpow)
+            if jpow > 1:
+                # 0 - step·map: the sign flips with each power, which leaves
+                # every rank as it is
+                maps[i] = fld.sub_matmul(fld.zeros((h1, h0)), step[i + jpow - 1], maps[i])
             if h0 == 0 and h1 == 0:
                 continue
-            mat = quot.mult_poly(ell_pow, i)
-            rank = rank_of_rows(mat, h0, fld) if h0 else 0
+            rank = rank_of_rows(maps[i], h0, fld) if h0 else 0
             checks.append(LefschetzCheck(i, jpow, h0, h1, rank))
     all_max = all(c.maximal for c in checks)
     if mode == "WLP":

@@ -26,15 +26,20 @@ block of k pivots with no arithmetic, on the rows or on the columns,
 whichever gives more.  If no other nonzero line is left, the rank is k.  A
 matrix more than half full goes to `_eliminate`.  Otherwise the other rows
 are reduced against that block and rank = k + rank(S) for their Schur
-complement S, in every field.  Over GF(p) with k·(p−1)² + p <= 2**53, S is
-formed exactly in float64 BLAS (delayed reduction, as in FFLAS-FFPACK), and
-the triangular solve against the pivot block T goes by its level schedule
-(as in Anderson–Saad level scheduling): a pivot column that reads no other
-is level 0, any other is one above the highest it reads, and each level is
-solved by products alone, one per chunk of its columns.  Over QQ and past the
-bound (GF(1073741789) always) S is formed by `_eliminate` run over the k pivot
-columns only: in the field over GF(p), and over QQ on the integers, up to row
-scaling, under the int64 bound above.  The input is never modified.
+complement S, in every field.  Over every GF(p), S is formed exactly in
+float64 BLAS (delayed reduction, as in FFLAS-FFPACK), and the triangular
+solve against the pivot block T goes by its level schedule (as in
+Anderson–Saad level scheduling): a pivot column that reads no other is level
+0, any other is one above the highest it reads, and each level is solved by
+products alone, one per chunk of its columns.  Each product is one BLAS call
+where a sum of k products of residues stays an exact float64 integer,
+k·(p−1)² + p <= 2**53 (GF(65521) up to k = 2**21); past that bound
+(GF(1073741789) always) the second factor is split into 15-bit limbs, each
+limb's product is reduced after every `_limb_terms` inner terms, with
+t·(p−1)·(2**15−1) + 2p <= 2**53, and the limbs are combined by Horner's rule
+mod p (`_limbs`, `_sub_mod`).  Over QQ, S is formed by `_eliminate` run over
+the k pivot columns only, on the integers, up to row scaling, under the int64
+bound above.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -61,6 +66,8 @@ PARANOIA_PRIME = 1073741789
 # rest rows per block of Y
 _SCHUR_BLOCK = 128
 _SCHUR_ROWS = 1536
+# bits per limb where `_sub_mod` splits a factor past the one-product bound
+_LIMB_BITS = 15
 # every entry of an int64 integer elimination over QQ stays below this in
 # absolute value (`RationalField.pivot_step`)
 _INT64_BOUND = 2**31
@@ -401,7 +408,9 @@ def _structural_pivots(major, minor):
 def _mod(x, p):
     """x mod p in [0, p), in place, for a float64 array of integers with
     |x| + p <= 2**53.  There x / p is never rounded across an integer, so the
-    quotient floor(x / p) is exact, and so is its product with p."""
+    quotient floor(x / p) is exact, and so is its product with p.  `_sub_mod`
+    keeps every value it reduces within that bound, for every p < 2**31: one
+    product where k·(p−1)² + p <= 2**53, else limbs and chunks."""
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -409,19 +418,60 @@ def _mod(x, p):
     return x
 
 
+def _limbs(v, p, terms):
+    """The int64 residues v as float64 limbs, most significant first, stacked
+    on a new first axis.  Where a sum of `terms` products of residues is an
+    exact float64 integer, terms·(p − 1)² + p <= 2**53, that is v alone;
+    else the limbs v_l < 2**w, w = `_LIMB_BITS`, with v = Σ_l v_l·2**(w·l)."""
+    if terms * (p - 1) ** 2 + p <= 2**53:
+        return v[None].astype(np.float64)
+    top = _LIMB_BITS * (((p - 1).bit_length() - 1) // _LIMB_BITS)
+    return np.stack([(v >> s) & (2**_LIMB_BITS - 1)
+                     for s in range(top, -1, -_LIMB_BITS)]).astype(np.float64)
+
+
+def _limb_terms(p):
+    """Inner terms t per product with a limb before a reduction is due:
+    t·(p − 1)·(2**w − 1) + 2p <= 2**53 (256 for GF(1073741789))."""
+    return (2**53 - 2 * p) // ((p - 1) * (2**_LIMB_BITS - 1))
+
+
 def _sub_mod(c, a, b, p):
-    """c = (c - a @ b) mod p, in place, for float64 arrays of residues; exact
-    while the inner dimension times (p - 1)**2, plus p, stays within 2**53."""
-    c -= a @ b
+    """c = (c - a @ B) mod p, in place, for float64 arrays of residues c and a,
+    and B given by its limbs b (`_limbs`, over at least a's inner terms).
+
+    Exactness: where b is one limb and a's inner terms are within `_limbs`'
+    bound, a @ B is summed in one product.  Else every limb is below 2**w,
+    and each limb's product a @ b_l is summed `_limb_terms` inner terms at a
+    time, each chunk added to the reduced sum so far and reduced again, so
+    every partial sum stays below t·(p − 1)·(2**w − 1) + p; the limbs' sums
+    are combined by Horner's rule, acc = (acc·2**w + part_l) mod p, below
+    p·2**w + p.  Every float64 value is then an exact integer within
+    2**53 − p, where `_mod` is exact.
+    """
+    if len(b) == 1 and a.shape[1] * (p - 1) ** 2 + p <= 2**53:
+        c -= a @ b[0]
+        return _mod(c, p)
+    step = _limb_terms(p)
+    parts = np.zeros((len(b), *c.shape))
+    for s in range(0, a.shape[1], step):
+        parts += a[:, s:s + step] @ b[:, s:s + step]
+        _mod(parts, p)
+    acc = parts[0]
+    for part in parts[1:]:
+        acc *= 2**_LIMB_BITS
+        acc += part
+        _mod(acc, p)
+    c -= acc
     return _mod(c, p)
 
 
 def _column_slab(i, j, v, nrows, start, stop):
-    """The dense nrows x (stop - start) block of the entries v at (i, j),
-    sorted by j, whose column is in [start, stop)."""
+    """The dense nrows x (stop - start) block of the entries at (i, j), sorted
+    by j, whose column is in [start, stop), for each limb in v (`_limbs`)."""
     lo, hi = np.searchsorted(j, (start, stop))
-    out = np.zeros((nrows, stop - start))
-    out[i[lo:hi], j[lo:hi] - start] = v[lo:hi]
+    out = np.zeros((len(v), nrows, stop - start))
+    out[:, i[lo:hi], j[lo:hi] - start] = v[:, lo:hi]
     return out
 
 
@@ -457,8 +507,9 @@ def _reaching(a, q, wanted):
 
 def _level_schedule(i, j, v, k):
     """Y T = Y0, for T the k x k unit upper triangular matrix with its
-    off-diagonal entries v at (i, j), as a list of steps (cols, rows, block):
-    Y[:, cols] -= Y[:, rows] @ block, in order.
+    off-diagonal entries at (i, j), given by their limbs v (`_limbs`), as a
+    list of steps (cols, rows, block): Y[:, cols] -= Y[:, rows] @ block, in
+    order, with the block's limbs stacked on its first axis.
 
     The columns of one level depend only on lower levels, so each level is
     solved by products alone, at most `_SCHUR_BLOCK` columns at a time, and
@@ -470,7 +521,7 @@ def _level_schedule(i, j, v, k):
     at[cols] = np.arange(k)
     pos = at[j]
     order = np.argsort(pos, kind="stable")
-    i, v, pos = i[order], v[order], pos[order]
+    i, v, pos = i[order], v[:, order], pos[order]
     ends = np.searchsorted(level[cols], np.arange(level.max(initial=0) + 2))
     steps = []
     for lo, hi in zip(ends[1:], ends[2:]):  # levels 1 and up
@@ -478,16 +529,16 @@ def _level_schedule(i, j, v, k):
             e = min(s + _SCHUR_BLOCK, hi)
             a, b = np.searchsorted(pos, (s, e))
             rows = np.flatnonzero(np.bincount(i[a:b]))
-            block = np.zeros((rows.size, e - s))
-            block[np.searchsorted(rows, i[a:b]), pos[a:b] - s] = v[a:b]
+            block = np.zeros((len(v), rows.size, e - s))
+            block[:, np.searchsorted(rows, i[a:b]), pos[a:b] - s] = v[:, a:b]
             steps.append((cols[s:e], rows, block))
     return steps
 
 
 def _schur_complement(vals, i, j, k, nrest, nother, p):
-    """S = C - Y0 T^-1 B mod p for the matrix [[T, B], [Y0, C]] given by its
-    nonzero residues `vals` at (i, j), where T is k x k and upper triangular
-    with a nonzero diagonal.
+    """S = C - Y0 T^-1 B mod p, as float64 residues, for the matrix
+    [[T, B], [Y0, C]] given by its nonzero int64 residues `vals` at (i, j),
+    where T is k x k and upper triangular with a nonzero diagonal.
 
     Only the columns of Y = Y0 T^-1 that meet B reach S, so T, B and Y0 are
     first cut down to those and to the columns they read (`_reaching`).  Y T =
@@ -495,19 +546,22 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     once, and S = C - Y B is formed with B unpacked `_SCHUR_BLOCK` columns at a
     time.  Each row of Y and S depends only on its own rows of Y0 and C, so the
     rest rows go through in blocks of `_SCHUR_ROWS`: only S (nrest x nother)
-    and one row block of Y are held dense.
+    and one row block of Y are held dense.  The entries of T and B are split
+    into limbs once per call (`_limbs`, for sums of at most m inner terms, m
+    the kept columns), and every level block and slab of B is built from
+    those limbs.
     """
     top, left = i < k, j < k
     s = np.zeros((nrest, nother))
     c = ~top & ~left
     s[i[c] - k, j[c] - k] = vals[c]
     t, d, b, y0 = top & left & (i != j), top & (i == j), top & ~left, ~top & left
-    diag = np.empty(k)
+    diag = np.empty(k, np.int64)
     diag[i[d]] = vals[d]
     ti, tj, tv = i[t], j[t], vals[t]
     bi, bj, bv = i[b], j[b] - k, vals[b]
     yi, yj, yv = i[y0] - k, j[y0], vals[y0]
-    del i, j, vals, top, left, t, d, b, y0, c  # `_rank` makes the inputs for this call
+    del i, j, vals, top, left, t, d, b, y0, c  # `_rank` makes i and j for this call
     wanted = np.zeros(k, bool)
     wanted[bi] = True
     keep = _reaching(ti, tj, wanted)
@@ -518,12 +572,13 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     yi, yj, yv = yi[mine], at[yj[mine]], yv[mine]
     bi, meets_b, heads = at[bi], wanted[keep], diag[keep].tolist()
     m = len(heads)
-    # dividing the rows of T and B by T's diagonal makes T unit upper triangular
-    inverse = {x: pow(int(x), -1, p) for x in set(heads)}
+    # dividing the rows of T and B by T's diagonal makes T unit upper
+    # triangular; in int64, where each product, below p**2 < 2**62, is exact
+    inverse = {x: pow(x, -1, p) for x in set(heads)}
     inv = np.array([inverse[x] for x in heads])
-    steps = _level_schedule(ti, tj, _mod(tv * inv[ti], p), m)
+    steps = _level_schedule(ti, tj, _limbs(tv * inv[ti] % p, p, m), m)
     order = np.argsort(bj, kind="stable")  # B by column, for `_column_slab`
-    b = bi[order], bj[order], _mod(bv[order] * inv[bi[order]], p)
+    b = bi[order], bj[order], _limbs(bv[order] * inv[bi[order]] % p, p, m)
     for r in range(0, nrest, _SCHUR_ROWS):
         e = min(r + _SCHUR_ROWS, nrest)
         mine = (yi >= r) & (yi < e)
@@ -541,16 +596,17 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
         y = y[:, :inner.size]
         for t in range(0, nother, _SCHUR_BLOCK):
             u = min(t + _SCHUR_BLOCK, nother)
-            _sub_mod(s[r:e, t:u], y, _column_slab(*b, m, t, u)[inner], p)
+            _sub_mod(s[r:e, t:u], y, _column_slab(*b, m, t, u)[:, inner], p)
     return s
 
 
 def _exact_schur_complement(g, k, field):
     """S = C - Y0 T^-1 B for the array g = [[T, B], [Y0, C]], where T is k x k
-    and upper triangular with a nonzero diagonal; g is overwritten.  Over
-    GF(p) g holds residues and S is exact; over QQ g holds integers
+    and upper triangular with a nonzero diagonal; g is overwritten.  Over QQ,
+    the one field `_rank` sends here, g holds integers
     (`RationalField.numerators`) and S comes back up to row scaling, which
-    keeps its rank.
+    keeps its rank; over GF(p), where it is the tests' reference for
+    `_schur_complement`, g holds residues and S is exact.
 
     `_eliminate` over the first k columns pivots on T's diagonal in order: the
     rows of T below a pivot are zero in its column, so only the Y0 rows are
@@ -597,10 +653,11 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     The pivots of a structural echelon block (`_structural_pivots` on the rows
     or on the columns, whichever gives more) count without arithmetic.  The
     other lines go into the Schur complement S of the pivot block, and
-    rank = k + rank(S).  S is formed in float64 BLAS over GF(p) where that is
-    exact (`_schur_complement`), else by `_eliminate` (`_exact_schur_complement`,
-    on the block matrix filled from the coordinates).  Only S, or a matrix more
-    than half full, is ever held dense.
+    rank = k + rank(S).  S is formed in float64 BLAS over every GF(p)
+    (`_schur_complement`, exact by `_sub_mod`'s limb and chunk bound), and by
+    `_eliminate` over QQ (`_exact_schur_complement`, on the block matrix
+    filled from the coordinates).  Only S, or a matrix more than half full, is
+    ever held dense.
     """
     if not vals.size:
         return 0
@@ -631,14 +688,12 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     col_at = np.empty(ncols, np.int64)
     col_at[col_order] = np.arange(col_order.size)
     p = field.characteristic
-    # Exactness: every float64 product in `_schur_complement` is at most
-    # (p - 1)**2, and every sum, whether a level product of the solve or a
-    # product with a slab of B, has at most k terms, so with
-    # k·(p−1)² + p <= 2**53 all partial sums and the reductions in `_mod` are
-    # exact integers.
-    if p and k * (p - 1) ** 2 + p <= 2**53:
-        schur = _schur_complement(vals.astype(np.float64), row_at[rows], col_at[cols], k,
-                                  rest.size, col_order.size - k, p)
+    # Exactness: every product in `_schur_complement` goes through `_sub_mod`,
+    # whose sums of at most k terms stay exact float64 integers for every
+    # p < 2**31 (`_limbs`)
+    if p:
+        schur = _schur_complement(vals, row_at[rows], col_at[cols], k, rest.size,
+                                  col_order.size - k, p)
     else:
         g = np.zeros((row_order.size, col_order.size), vals.dtype)
         g[row_at[rows], col_at[cols]] = vals
@@ -668,9 +723,11 @@ def rank_of_rows(rows, ncols, field):
     scanned once for its coordinates.  Over QQ each row is then scaled to
     integers (`RationalField.numerators`), int64 first, Python ints where
     int64 would pass its bound.  The rank is k, the number of structural
-    pivots, plus the rank of their Schur complement: in float64 over GF(p)
-    with k·(p−1)² + p <= 2⁵³, by `_eliminate` over QQ and past the bound
-    (always for GF(1073741789)).  A matrix more than half full comes from
+    pivots, plus the rank of their Schur complement: in float64 over every
+    GF(p), with one product per block where k·(p−1)² + p <= 2⁵³ and past that
+    bound (always for GF(1073741789)) the second factor split into 15-bit
+    limbs, reduced every t terms with t·(p−1)·(2¹⁵−1) + 2p <= 2⁵³; by
+    `_eliminate` over QQ.  A matrix more than half full comes from
     `_eliminate`, unless the structural pivots already account for every
     nonzero line.
     """

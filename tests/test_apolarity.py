@@ -20,6 +20,7 @@ from bettiforge import (
     standard_linear_form,
 )
 from bettiforge.errors import PreconditionError, UnitIdealError
+from bettiforge.exactalg import rank_of_rows
 from bettiforge.hilbert import is_symmetric
 
 from helpers import sorted_multisets
@@ -173,6 +174,26 @@ def test_lefschetz_detects_failure():
     assert rep.verdict != "SLP"
     wlp = lefschetz_check(gens, ell=bad, mode="wlp")
     assert wlp.verdict == "WLP"  # single steps by x1 are still maximal rank
+
+
+@pytest.mark.parametrize("field", [QQ, GF_DEFAULT], ids=str)
+def test_lefschetz_ranks_match_the_maps_by_each_power(field):
+    # the checks compose the maps by ell; every rank must be that of the map
+    # by the power itself, for a general form and for two that fail
+    quot = ideal_slices([vp(0, 3, 3, field), vp(1, 2, 3, field), vp(2, 3, 3, field)])
+    x0, x1 = vp(0, 1, 3, field), vp(1, 1, 3, field)
+    maximal = []
+    for ell in (standard_linear_form(3, field), x0, x0 + x1):
+        rep = lefschetz_check(quot, ell)
+        assert max(c.power for c in rep.checks) == quot.socle_degree
+        for c in rep.checks:
+            power = ell
+            for _ in range(c.power - 1):
+                power = power * ell
+            assert c.rank == rank_of_rows(quot.mult_poly(power, c.source_degree), c.dim_source,
+                                          field), (ell, c)
+        maximal.append(rep.verdict == "SLP")
+    assert maximal == [True, False, False]
 
 
 def test_semiregularity_examples():

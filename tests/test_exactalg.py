@@ -20,11 +20,14 @@ from bettiforge.errors import PreconditionError
 from bettiforge import exactalg
 from bettiforge.exactalg import (
     DEFAULT_PRIME,
+    PARANOIA_PRIME,
     Accumulator,
     RowBasis,
     SparseRows,
     _eliminate,
     _exact_schur_complement,
+    _limb_terms,
+    _limbs,
     _mod,
     _schur_complement,
     _sub_mod,
@@ -497,12 +500,17 @@ def test_small_rationals_stay_on_int64(monkeypatch):
         monkeypatch.undo()
 
 
-def _schur_matches_exact(t, nrest, nother, seed, density=0.3, b_rows=None):
-    """`_schur_complement` on [[T, B], [Y0, C]], with random B (nonzero only
-    in `b_rows`, if given), Y0 and C and the coordinates in shuffled order,
-    equals `_exact_schur_complement`."""
+# GF(65521) forms every Schur product in one float64 product, GF(1073741789)
+# in 15-bit limbs summed 256 inner terms at a time
+SCHUR_FIELDS = (GF_DEFAULT, GF_PARANOIA)
+
+
+def _schur_matches_exact(field, t, nrest, nother, seed, density=0.3, b_rows=None):
+    """`_schur_complement` over the prime field `field` on [[T, B], [Y0, C]],
+    with random B (nonzero only in `b_rows`, if given), Y0 and C and the
+    coordinates in shuffled order, equals `_exact_schur_complement`."""
     rng = np.random.default_rng(seed)
-    p, k = DEFAULT_PRIME, len(t)
+    p, k = field.characteristic, len(t)
     g = rng.integers(1, p, (k + nrest, k + nother)) * (rng.random((k + nrest, k + nother)) < density)
     g[:k, :k] = t % p
     if b_rows is not None:
@@ -510,8 +518,8 @@ def _schur_matches_exact(t, nrest, nother, seed, density=0.3, b_rows=None):
     i, j = np.nonzero(g)
     shuffle = rng.permutation(i.size)
     i, j = i[shuffle], j[shuffle]
-    got = _schur_complement(g[i, j].astype(np.float64), i, j, k, nrest, nother, p)
-    want = _exact_schur_complement(g.copy(), k, GF_DEFAULT)
+    got = _schur_complement(g[i, j], i, j, k, nrest, nother, p)
+    want = _exact_schur_complement(g.copy(), k, field)
     assert got.dtype == np.float64 and got.tolist() == want.tolist()
 
 
@@ -525,44 +533,52 @@ def test_schur_complement_on_a_chain_as_deep_as_t():
     # bidiagonal: column q reads column q - 1, so every level holds one
     # column, and the chain crosses the 128-column chunks
     t = np.diag(np.arange(1, 301)) + np.diag(np.full(299, -3), 1)
-    _schur_matches_exact(t, 9, 6, seed=1)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, t, 9, 6, seed=1)
 
 
 def test_schur_complement_on_a_level_wider_than_a_chunk():
     # every other column reads column 0 only: one level of 299 columns
     t = np.diag(np.arange(1, 301))
     t[0, 1:] = 5
-    _schur_matches_exact(t, 9, 6, seed=5)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, t, 9, 6, seed=5)
 
 
 def test_schur_complement_on_a_diagonal_t():
     # no column reads another: nothing is solved past level 0
-    _schur_matches_exact(np.diag(np.arange(2, 152)), 12, 8, seed=2)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, np.diag(np.arange(2, 152)), 12, 8, seed=2)
 
 
 @pytest.mark.parametrize("k", [1, 127, 203, 333])
 def test_schur_complement_on_a_sparse_t(k):
-    _schur_matches_exact(_upper(np.random.default_rng(k), k, 0.02), 17, 11, seed=k)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, _upper(np.random.default_rng(k), k, 0.02), 17, 11, seed=k)
 
 
 def test_schur_complement_where_b_meets_few_pivot_rows():
     # only the columns of Y that meet B, and the columns they read, are
     # solved: on a chain with B in row 120, columns 0..120
     t = np.diag(np.arange(1, 201)) + np.diag(np.full(199, 7), 1)
-    _schur_matches_exact(t, 15, 9, seed=6, b_rows=[120])
-    _schur_matches_exact(_upper(np.random.default_rng(6), 200, 0.05), 15, 9, seed=6, b_rows=[3, 77, 150])
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, t, 15, 9, seed=6, b_rows=[120])
+        _schur_matches_exact(field, _upper(np.random.default_rng(6), 200, 0.05), 15, 9, seed=6,
+                             b_rows=[3, 77, 150])
 
 
 def test_schur_complement_with_no_other_columns():
     # B and C are empty, so S is nrest x 0
-    _schur_matches_exact(_upper(np.random.default_rng(3), 40, 0.1), 7, 0, seed=3)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, _upper(np.random.default_rng(3), 40, 0.1), 7, 0, seed=3)
 
 
 def test_schur_complement_over_several_row_blocks():
     # the rest rows go through in blocks of `_SCHUR_ROWS`, the last one short
     k = 45
-    _schur_matches_exact(_upper(np.random.default_rng(4), k, 0.1), exactalg._SCHUR_ROWS + 37, 20,
-                         seed=4, density=0.05)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, _upper(np.random.default_rng(4), k, 0.1),
+                             exactalg._SCHUR_ROWS + 37, 20, seed=4, density=0.05)
 
 
 def _raise(*args, **kwargs):
@@ -581,16 +597,61 @@ def test_echelon_blocks_skip_elimination(monkeypatch, transpose):
         assert rank_of_rows(a, 6, field) == 6
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
-def test_sub_mod_returns_residues(nrows, inner, seed):
+def _sub_mod_reference(c, a, b, p):
+    """(c - a @ b) mod p in Python ints."""
+    return ((c.astype(object) - a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+# 2147483647 = 2**31 - 1 is the largest prime `PrimeField` accepts: 3 limbs,
+# 128 inner terms per chunk
+SUB_MOD_PRIMES = (DEFAULT_PRIME, PARANOIA_PRIME, 2**31 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SUB_MOD_PRIMES), st.integers(1, 6), st.integers(0, 600), st.integers(0, 2**32 - 1))
+@example(PARANOIA_PRIME, 2, 256, 0)
+@example(PARANOIA_PRIME, 2, 257, 1)
+@example(PARANOIA_PRIME, 3, 513, 2)
+@example(2**31 - 1, 2, 129, 3)
+def test_sub_mod_returns_residues(p, nrows, inner, seed):
+    # inner sizes on both sides of the chunk length t, and several chunks
     rng = np.random.default_rng(seed)
-    p = DEFAULT_PRIME
     c = rng.integers(0, p, (nrows, 3))
     a = rng.integers(0, p, (nrows, inner))
     b = rng.integers(0, p, (inner, 3))
-    got = _sub_mod(c.astype(np.float64), a.astype(np.float64), b.astype(np.float64), p)
-    assert got.tolist() == ((c - a @ b) % p).tolist()
+    got = _sub_mod(c.astype(np.float64), a.astype(np.float64), _limbs(b, p, inner), p)
+    assert got.tolist() == _sub_mod_reference(c, a, b, p)
+
+
+def test_limbs_and_chunks_follow_the_bounds():
+    for p, limbs, terms in ((PARANOIA_PRIME, 2, 256), (2**31 - 1, 3, 128)):
+        t = _limb_terms(p)
+        assert t == terms
+        assert t * (p - 1) * (2**15 - 1) + 2 * p <= 2**53 < (t + 1) * (p - 1) * (2**15 - 1) + 2 * p
+        b = np.array([[0, 1, p - 1]])
+        split = _limbs(b, p, 1)
+        assert split.shape == (limbs, 1, 3) and split.max() < 2**15
+        assert sum(x.astype(np.int64) << 15 * e for e, x in enumerate(split[::-1])).tolist() == b.tolist()
+    # GF(65521): one product, v itself, up to 2**21 inner terms and no further
+    edge = 2**53 // (DEFAULT_PRIME - 1) ** 2
+    assert edge * (DEFAULT_PRIME - 1) ** 2 + DEFAULT_PRIME <= 2**53
+    assert len(_limbs(np.array([1]), DEFAULT_PRIME, edge)) == 1
+    assert len(_limbs(np.array([1]), DEFAULT_PRIME, edge + 1)) == 2
+
+
+@pytest.mark.parametrize("p,inner", [(DEFAULT_PRIME, 2**53 // (DEFAULT_PRIME - 1) ** 2),
+                                     (DEFAULT_PRIME, 2**53 // (DEFAULT_PRIME - 1) ** 2 + 1),
+                                     (PARANOIA_PRIME, 256), (PARANOIA_PRIME, 257), (PARANOIA_PRIME, 1000),
+                                     (2**31 - 1, 128), (2**31 - 1, 385)])
+def test_sub_mod_is_exact_at_the_edge_of_its_bound(p, inner):
+    # c = 0 and every other entry p - 1 give the largest sums: at the
+    # one-product edge of GF(65521), one term past it (limbs), and at and past
+    # a chunk of t terms
+    a = np.full((1, inner), p - 1.0)
+    b = np.full((inner, 1), p - 1)
+    got = _sub_mod(np.zeros((1, 1)), a, _limbs(b, p, inner), p)
+    # (p - 1)**2 = 1 mod p
+    assert got.tolist() == [[-inner % p]]
 
 
 @settings(max_examples=200, deadline=None)
