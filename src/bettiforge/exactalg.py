@@ -4,10 +4,10 @@ Field elements are plain numbers: an int in [0, p) for GF(p), a
 `fractions.Fraction` for QQ, so Python's own operators do the scalar
 arithmetic.  A field object supplies only `coerce` (a number into that form)
 and `inv` as scalar operations, next to the few array operations the kernels
-need (`zeros`, `array`, `reduce`, `sub_matmul`, `safe_terms`) and the
-elimination steps (`numerators`, `pivot_step`, `pivot_rows`).  GF(p),
-p < 2**31 prime, keeps residues in [0, p) in int64 arrays, so every product
-fits a 64-bit intermediate; QQ keeps normalized Fraction entries in object
+need (`zeros`, `array`, `reduce`, `sub_matmul`) and the elimination steps
+(`numerators`, `pivot_step`, `pivot_rows`).  GF(p), p < 2**31 prime, keeps
+residues in [0, p) in int64 arrays, and sums products of them exactly in
+float64 by `_sub_mod`; QQ keeps normalized Fraction entries in object
 arrays.  One elimination routine, `_eliminate`, serves both fields, and every
 structure here is built on it.  Over QQ it does no Fraction arithmetic: each
 row is first scaled to integers (which changes neither the rank nor the
@@ -52,7 +52,6 @@ from `SparseRows`, matrices are plain field arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,14 +92,13 @@ def _is_prime(p):
 
 class _ArrayField:
     """The array operations both fields share; each field supplies `dtype`,
-    `zero`, `safe_terms` and `reduce`."""
+    `zero`, `reduce` and `sub_dense`."""
 
     def zeros(self, shape):
         return np.full(shape, self.zero, dtype=self.dtype)
 
     def sub_matmul(self, c, a, b):
-        """Set c to the reduced c - a @ b in place and return it; the inner
-        dimension is summed `safe_terms` products at a time.
+        """Set c to the reduced c - a @ b in place and return it.
 
         Only the inner indices where a's column and b's row both have a
         nonzero, and the columns of c those rows of b reach, are touched, so
@@ -108,12 +106,7 @@ class _ArrayField:
         """
         inner = np.flatnonzero((np.count_nonzero(a, axis=0) > 0) & (np.count_nonzero(b, axis=1) > 0))
         cols = np.flatnonzero(np.count_nonzero(b[inner], axis=0))
-        a, b = a[:, inner], b[np.ix_(inner, cols)]
-        acc = c[:, cols]
-        step = min(self.safe_terms, len(inner) or 1)
-        for s in range(0, len(inner), step):
-            acc = self.reduce(acc - a[:, s:s + step] @ b[s:s + step])
-        c[:, cols] = acc
+        c[:, cols] = self.sub_dense(c[:, cols], a[:, inner], b[np.ix_(inner, cols)])
         return c
 
 
@@ -136,7 +129,6 @@ class RationalField(_ArrayField):
     zero = Fraction(0)
     one = Fraction(1)
     dtype = object
-    safe_terms = math.inf
 
     def coerce(self, x):
         return Fraction(x)
@@ -156,6 +148,9 @@ class RationalField(_ArrayField):
 
     def reduce(self, a):
         return a
+
+    def sub_dense(self, c, a, b):
+        return c - a @ b
 
     def numerators(self, rows, vals, wide=False):
         """The nonzero rationals `vals` in the sorted `rows` as integers: each
@@ -228,9 +223,9 @@ class RationalField(_ArrayField):
 class PrimeField(_ArrayField):
     """GF(p) for a prime p < 2**31; elements are plain ints in [0, p).
 
-    Arrays have dtype int64 and hold residues, so one product fits with room
-    to spare and `safe_terms` of them can be summed (after one residue) below
-    2**63 before a reduction is due.
+    Arrays have dtype int64 and hold residues, so a product of two residues,
+    or a sum of fewer than 2**32 of them, stays below 2**63.  A sum of
+    products goes to `_sub_mod`, exact in float64.
     """
 
     dtype = np.int64
@@ -245,7 +240,6 @@ class PrimeField(_ArrayField):
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
-        self.safe_terms = 2**62 // ((p - 1) ** 2 + 1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -276,6 +270,12 @@ class PrimeField(_ArrayField):
 
     def reduce(self, a):
         return a % self.p
+
+    def sub_dense(self, c, a, b):
+        """(c - a @ b) mod p for int64 residues, exact in float64 (`_sub_mod`)."""
+        p = self.p
+        out = _sub_mod(c.astype(np.float64), a.astype(np.float64), _limbs(b, p, a.shape[1]), p)
+        return out.astype(np.int64)
 
     def numerators(self, rows, vals, wide=False):
         """Residues need no scaling: `vals` as they are."""

@@ -330,10 +330,20 @@ def standard_linear_form(nvars, field=QQ):
 
 
 def power_ideal(degrees, ell_power, field):
-    """Generators x_1^d1, .., x_n^dn, then (x_1 + .. + x_n)^e unless ell_power is None."""
+    """Generators x_1^d1, .., x_n^dn, then ℓ^e, ℓ = x_1 + .. + x_n, unless
+    ell_power is None.
+
+    With ℓ^e the characteristic p must be 0 or above the socle degree
+    Σ(d_i − 1) of R/(x^d): up to there ℓ can fail the strong Lefschetz
+    property of R/(x^d) (Cook II, J. Algebra 369, 2012), and the ideal is not
+    the general one the closed formulas describe."""
     n = len(degrees)
     gens = [Polynomial.variable_power(i, d, n, field) for i, d in enumerate(degrees)]
     if ell_power is not None:
+        p, socle = field.characteristic, sum(d - 1 for d in degrees)
+        if 0 < p <= socle:
+            raise PreconditionError(f"GF({p}) is too small for ℓ = x1 + .. + xn: the characteristic "
+                                    f"must exceed the socle degree {socle} of R/(x^d)")
         gens.append(power_of_linear([1] * n, ell_power, field))
     return gens
 

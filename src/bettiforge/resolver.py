@@ -88,16 +88,6 @@ def slice_at_degree(gens, j, nvars, field):
     return RowBasis(len(exps), field, [pivots[k] for k in order], support, tails[order])
 
 
-def _accumulate_products(field, target_class, positions, coeffs):
-    """sum_t coeffs[t] * target_class[positions[:, t]], reduced every `safe_terms` terms."""
-    acc = field.zeros((len(positions), target_class.shape[1]))
-    for t, c in enumerate(coeffs):
-        acc += c * target_class[positions[:, t]]
-        if (t + 1) % field.safe_terms == 0:
-            acc = field.reduce(acc)
-    return field.reduce(acc)
-
-
 class GradedQuotient:
     """A homogeneous ideal I and its quotient R/I, degree by degree up to `bound`.
 
@@ -185,13 +175,22 @@ class GradedQuotient:
 
     def products_class_matrix(self, g, k, monos=None):
         """Rows = class of (m * g) in degree k + deg g, m over the degree-k
-        monomials, or over those at the positions `monos` when given."""
+        monomials, or over those at the positions `monos` when given.  The
+        class rows of g's terms are summed once per distinct coefficient, then
+        scaled: over GF(p) every sum is of fewer than 2**32 residues."""
         exps = exponent_array(self.nvars, k)
         if monos is not None:
             exps = exps[list(monos)]
-        target = self.class_matrix(k + g.degree)
-        return _accumulate_products(self.field, target, product_positions(exps, g.exponents()),
-                                    g.values)
+        fld, target = self.field, self.class_matrix(k + g.degree)
+        at = product_positions(exps, g.exponents())
+        out = fld.zeros((len(exps), target.shape[1]))
+        for c in set(g.values.tolist()):
+            first, *rest = at[:, g.values == c].T
+            rows = target[first]
+            for t in rest:
+                rows += target[t]
+            out += fld.reduce(c * fld.reduce(rows))
+        return fld.reduce(out)
 
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""

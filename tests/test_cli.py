@@ -52,6 +52,28 @@ def test_lefschetz_refuses_an_element_that_is_not_linear(ell, capsys):
     assert err == "error: the Lefschetz element must be a nonzero linear form\n"
 
 
+@pytest.mark.parametrize("argv,socle", [
+    (["betti", "formula", "aci", "--degrees", "3,3,3", "--ell-power", "4", "--verify", "--field", "5"], 6),
+    (["betti", "formula", "gorenstein", "--degrees", "3,3", "--ell-power", "4", "--verify",
+      "--field", "2"], 4),
+    (["betti", "oracle", "--degrees", "3,3", "--ell-power", "4", "--colon", "--field", "3"], 4),
+    (["betti", "oracle", "--degrees", "3,3,3", "--ell-power", "4", "--field", "5"], 6),
+    (["colon", "--degrees", "3,3,2", "--ell-power", "4", "--field", "2"], 5),
+    (["colon", "--degrees", "3,3,2", "--ell-power", "4", "--f", "x1", "--field", "5"], 5),
+    (["check", "syzygy", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 5),
+    (["check", "colon-plus", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 5),
+    (["lefschetz", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 5),
+    (["lefschetz", "--degrees", "3,3,2", "--ell-power", "4", "--colon", "--field", "3"], 5),
+])
+def test_a_characteristic_up_to_the_socle_degree_is_refused(argv, socle, capsys):
+    # the paper's ideals need ell = x1 + .. + xn general: p > sum(d_i - 1)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    p = argv[-1]
+    assert out == "" and err == (f"error: GF({p}) is too small for ℓ = x1 + .. + xn: the "
+                                 f"characteristic must exceed the socle degree {socle} of R/(x^d)\n")
+
+
 def test_check_generic_level_takes_no_field(capsys):
     argv = ["check", "generic-level", "--nvars", "2", "--degrees", "2,2,2", "--seed", "0"]
     assert main(argv) == 0

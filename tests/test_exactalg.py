@@ -654,6 +654,50 @@ def test_sub_mod_is_exact_at_the_edge_of_its_bound(p, inner):
     assert got.tolist() == [[-inner % p]]
 
 
+def _field_entries(field, rng, shape, full):
+    """Random field entries of `shape`: every one −1 (p − 1 over GF(p)) when
+    `full`, else with about a third zero and some whole rows and columns zero."""
+    if full:
+        return np.full(shape, field.coerce(-1), dtype=field.dtype)
+    p = field.characteristic
+    if p:
+        out = rng.integers(0, p, shape)
+    else:
+        out = np.array([Fraction(int(x), int(y)) for x, y in zip(rng.integers(-40, 40, shape).flat,
+                                                                 rng.integers(1, 9, shape).flat)],
+                       dtype=object).reshape(shape)
+    out[rng.random(shape) < 0.3] = field.zero
+    out[rng.random(shape[0]) < 0.3] = field.zero
+    out[:, rng.random(shape[1]) < 0.3] = field.zero
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(2), *map(PrimeField, SUB_MOD_PRIMES)]), st.integers(0, 4),
+       st.integers(0, 600), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+@example(GF_PARANOIA, 2, 256, 3, True, 0)
+@example(GF_PARANOIA, 2, 257, 3, True, 0)
+@example(PrimeField(2**31 - 1), 2, 128, 3, True, 0)
+@example(PrimeField(2**31 - 1), 1, 129, 2, True, 0)
+@example(QQ, 3, 0, 2, False, 1)
+@example(PrimeField(2), 0, 300, 4, False, 2)
+@example(GF_DEFAULT, 3, 40, 0, False, 3)
+def test_sub_matmul_matches_the_exact_reference(field, nrows, inner, ncols, full, seed):
+    # one exact product per field: inner sizes across the chunk lengths 256
+    # (GF(1073741789)) and 128 (GF(2**31 - 1)), operands with zero lines
+    rng = np.random.default_rng(seed)
+    c = _field_entries(field, rng, (nrows, ncols), False)
+    a = _field_entries(field, rng, (nrows, inner), full)
+    b = _field_entries(field, rng, (inner, ncols), full)
+    before = c.copy()
+    expected = [[field.coerce(x) for x in row]
+                for row in c.astype(object) - a.astype(object) @ b.astype(object)]
+    assert field.sub_matmul(c, a, b) is c
+    assert c.dtype == field.dtype and c.tolist() == expected
+    untouched = ~b.astype(bool).any(axis=0)
+    assert c[:, untouched].tolist() == before[:, untouched].tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, DEFAULT_PRIME, 94906249]).flatmap(
     lambda p: st.tuples(st.just(p), st.lists(st.integers(p - 2**53, 2**53 - p), min_size=1, max_size=8))))

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 from bettiforge import (
     BettiTable,
     DegreeSequence,
+    PrimeField,
     betti_aci_odd,
     betti_formula,
+    betti_from_quotient,
     betti_gorenstein_odd,
     betti_sum_formula,
     froberg_series,
     gorenstein_linked_hilbert,
     koszul_betti,
+    linked_ideal,
+    minimal_betti_oracle,
+    power_ideal,
     predict_level,
     series_numerator,
     syzygy_coefficient,
@@ -198,15 +203,43 @@ def test_alternating_sums_match_series(args):
     assert g.is_self_dual(ds.nvars, ds.linked_socle_degree)
 
 
-@pytest.mark.parametrize("formula,kind,sweep", [
+FORMULA_SWEEPS = pytest.mark.parametrize("formula,kind,sweep", [
     (betti_aci_odd, "aci", odd_parity_sweep),
     (betti_gorenstein_odd, "gorenstein", odd_parity_sweep),
     (lambda ds: betti_sum_formula(ds, target="aci"), "aci", quadric_sum_sweep),
     (lambda ds: betti_sum_formula(ds, target="gorenstein"), "gorenstein", quadric_sum_sweep),
 ], ids=["aci", "gorenstein", "sum-aci", "sum-gorenstein"])
+
+
+@FORMULA_SWEEPS
 def test_formula_matches_oracle_on_the_sweep(formula, kind, sweep):
     for ds in sweep([2, 3, 4]):
         assert formula(ds) == oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind), ds
+
+
+@pytest.mark.slow
+@FORMULA_SWEEPS
+def test_formula_matches_oracle_at_five_variables(formula, kind, sweep):
+    for ds in sweep([5]):
+        assert formula(ds) == oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind), ds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
+def test_formula_matches_oracle_at_every_prime_above_the_socle_degree(kind):
+    # `power_ideal` refuses p <= sum(d_i - 1); above that bound every prime up
+    # to 31 gives the paper's table on both sweeps
+    primes = [p for p in range(2, 32) if all(p % q for q in range(2, p))]
+    for ds in odd_parity_sweep([2, 3, 4]) + quadric_sum_sweep([2, 3, 4]):
+        for p in primes:
+            if p <= sum(d - 1 for d in ds.degrees):
+                continue
+            field = PrimeField(p)
+            if kind == "aci":
+                table = minimal_betti_oracle(power_ideal(ds.degrees, ds.ell_power, field))
+            else:
+                table = betti_from_quotient(linked_ideal(ds, field))
+            assert table == betti_formula(ds, kind), (ds, p)
 
 
 def test_aci_formula_matches_oracle_in_every_orientation():

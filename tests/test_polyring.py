@@ -28,6 +28,7 @@ from bettiforge.polyring import (
     exponent_array,
     macaulay_columns,
     monomials_of_degree,
+    power_ideal,
     product_positions,
 )
 
@@ -273,3 +274,22 @@ def test_zero_polynomial_is_every_degree():
 def test_standard_linear_form():
     ell = standard_linear_form(3, QQ)
     assert ell == x(0, 3) + x(1, 3) + x(2, 3)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("degrees", [(1,), (2,), (3, 3), (3, 3, 2), (2, 2, 2, 2), (4, 4, 4, 4)])
+def test_power_ideal_refuses_a_characteristic_up_to_the_socle_degree(degrees):
+    # ell = x1 + .. + xn is asked for only with a characteristic above
+    # sum(d_i - 1), the socle degree of R/(x^d); no ideal is resolved here
+    socle = sum(d - 1 for d in degrees)
+    for p in SMALL_PRIMES:
+        field = PrimeField(p)
+        assert len(power_ideal(degrees, None, field)) == len(degrees)
+        if p <= socle:
+            with pytest.raises(PreconditionError, match=f"^GF\\({p}\\) .* socle degree {socle} "):
+                power_ideal(degrees, 2, field)
+        else:
+            assert power_ideal(degrees, 2, field)[-1] == power_of_linear([1] * len(degrees), 2, field)
+    assert len(power_ideal(degrees, 5, QQ)) == len(degrees) + 1

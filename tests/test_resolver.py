@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bettiforge import (
     QQ,
     DegreeSequence,
     Polynomial,
+    PrimeField,
     betti_aci_odd,
     betti_formula,
     betti_from_quotient,
@@ -33,7 +36,7 @@ from bettiforge.errors import (
 )
 from bettiforge import exactalg, resolver
 from bettiforge.exactalg import SparseRows, rank_of_rows
-from bettiforge.polyring import macaulay_columns, power_ideal
+from bettiforge.polyring import dot, macaulay_columns, power_ideal
 
 from helpers import (
     FIELDS,
@@ -186,6 +189,29 @@ def test_colon_four_squares_by_ell_square():
     col = colon_ideal([vp(i, 2, 4) for i in range(4)], ell_power(4, 2))
     assert col.hilbert() == [1, 4, 1]
     assert col.hilbert() == gorenstein_linked_hilbert(DegreeSequence(4, (2, 2, 2, 2), 2))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GF(2**31-1)"])
+@pytest.mark.parametrize("terms", [
+    # ell^3 scaled by -1/2: 10 terms, 3 distinct coefficients
+    {m: Fraction(-c, 2) for m, c in zip(monomials_of_degree(3, 3),
+                                        ell_power(3, 3).values.tolist())},
+    {(2, 1, 0): 1, (1, 0, 2): 2, (0, 3, 0): -3, (1, 1, 1): Fraction(5, 7), (0, 0, 3): -11},
+    {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 4, (2, 0, 1): 4, (0, 1, 2): 9},
+], ids=["repeated", "distinct", "both"])
+def test_products_class_matrix_is_the_reduced_products(field, terms):
+    # row m is the class of m * g in degree k + deg g: the product formed by
+    # `dot` and reduced by that degree's basis, over every monomial m and over
+    # the standard ones (`mult_poly`)
+    quot = ideal_slices(power_ideal((4, 4, 4), 3, field))
+    g = Polynomial.from_terms(3, field, terms)
+    for k in range(quot.socle_degree - g.degree + 1):
+        base = quot.bases[k + g.degree]
+        expected = [base.reduce(dot([Polynomial.monomial(m, field)], [g]).to_vector(k + g.degree))
+                    for m in monomials_of_degree(3, k)]
+        assert quot.products_class_matrix(g, k).tolist() == np.array(expected).tolist()
+        support = list(quot.bases[k].support)
+        assert quot.mult_poly(g, k).T.tolist() == np.array(expected)[support].tolist()
 
 
 def test_socle_of_complete_intersection():
