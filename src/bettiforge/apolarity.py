@@ -15,7 +15,7 @@ from .polyring import (
     contract,
     exponent_array,
     falling_weights,
-    monomials_of_degree,
+    monomial_count,
     power_of_linear,
     product_positions,
     ring_of,
@@ -59,7 +59,7 @@ def annihilator(dual_form):
         # residues below p < 2**31: the product fits int64 and is reduced at once
         rows = field.reduce(coeffs[product_positions(monos, duals)] * weights).T
         bases[j] = _kernel_row_basis(rows, len(monos), field)
-    bases[e + 1] = RowBasis.full(len(monomials_of_degree(nvars, e + 1)), field)
+    bases[e + 1] = RowBasis.full(monomial_count(nvars, e + 1), field)
     quot = GradedQuotient(nvars, field, bases)
     if quot.hf(e) != 1:
         raise ConsistencyError("apolar algebra must have a one-dimensional socle degree piece")

@@ -19,27 +19,30 @@ piv·x − y·z stays below 2·(2**31 − 1)**2 < 2**63; one max checks the boun
 after every step, and where it fails the call restarts on Python ints.
 
 Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010), and
-work on a matrix's nonzero coordinates: only a Schur complement, or a matrix
-more than half full, is ever made dense.  Each nonzero row has a leading
+work on a matrix's nonzero coordinates.  Each nonzero row has a leading
 column; one row per distinct leading column, the sparsest, gives an echelon
 block of k pivots with no arithmetic, on the rows or on the columns,
-whichever gives more.  If no other nonzero line is left, the rank is k.  A
-matrix more than half full goes to `_eliminate`.  Otherwise the other rows
-are reduced against that block and rank = k + rank(S) for their Schur
-complement S, in every field.  Over every GF(p), S is formed exactly in
-float64 BLAS (delayed reduction, as in FFLAS-FFPACK), and the triangular
-solve against the pivot block T goes by its level schedule (as in
-Anderson–Saad level scheduling): a pivot column that reads no other is level
-0, any other is one above the highest it reads, and each level is solved by
-products alone, one per chunk of its columns.  Each product is one BLAS call
-where a sum of k products of residues stays an exact float64 integer,
-k·(p−1)² + p <= 2**53 (GF(65521) up to k = 2**21); past that bound
+whichever gives more.  If no other nonzero line, or no other nonzero column,
+is left, the rank is k.  A matrix more than half full goes to `_eliminate`.
+Otherwise the other rows are reduced against that block and rank = k +
+rank(S) for their Schur complement S, in every field, with S handed on as
+coordinates.  Over every GF(p), S is formed exactly in float64 BLAS (delayed
+reduction, as in FFLAS-FFPACK) one row block at a time: only one block of S,
+and one of the triangular solve that feeds it, each of at most
+`_SCHUR_CELLS` cells, is ever dense (GBLA likewise never forms the whole
+Schur complement densely: Boyer, Eder, Faugère, Lachartre and Martani, ISSAC
+2016).  The solve against the pivot block T goes by its level schedule (as
+in Anderson–Saad level scheduling): a pivot column that reads no other is
+level 0, any other is one above the highest it reads, and each level is
+solved by products alone, one per chunk of its columns.  Each product is one
+BLAS call where a sum of k products of residues stays an exact float64
+integer, k·(p−1)² + p <= 2**53 (GF(65521) up to k = 2**21); past that bound
 (GF(1073741789) always) the second factor is split into 15-bit limbs, each
 limb's product is reduced after every `_limb_terms` inner terms, with
 t·(p−1)·(2**15−1) + 2p <= 2**53, and the limbs are combined by Horner's rule
 mod p (`_limbs`, `_sub_mod`).  Over QQ, S is formed by `_eliminate` run over
-the k pivot columns only, on the integers, up to row scaling, under the int64
-bound above.  The input is never modified.
+the k pivot columns only of the block matrix filled densely, on the integers,
+up to row scaling, under the int64 bound above.  The input is never modified.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -62,9 +65,9 @@ from .errors import FieldMismatchError, PreconditionError
 DEFAULT_PRIME = 65521
 PARANOIA_PRIME = 1073741789
 # `_schur_complement`: columns per level chunk of T and per slab of B, and
-# rest rows per block of Y
+# the cells of one dense row block of Y or of S (2 MB of float64)
 _SCHUR_BLOCK = 128
-_SCHUR_ROWS = 1536
+_SCHUR_CELLS = 2**18
 # bits per limb where `_sub_mod` splits a factor past the one-product bound
 _LIMB_BITS = 15
 # every entry of an int64 integer elimination over QQ stays below this in
@@ -536,7 +539,8 @@ def _level_schedule(i, j, v, k):
 
 
 def _schur_complement(vals, i, j, k, nrest, nother, p):
-    """S = C - Y0 T^-1 B mod p, as float64 residues, for the matrix
+    """S = C - Y0 T^-1 B mod p, as coordinates: the nonzero int64 residues of
+    S with their rows and columns, sorted by (row, column), for the matrix
     [[T, B], [Y0, C]] given by its nonzero int64 residues `vals` at (i, j),
     where T is k x k and upper triangular with a nonzero diagonal.
 
@@ -545,16 +549,18 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     Y0 is then solved by the level schedule of T (`_level_schedule`), built
     once, and S = C - Y B is formed with B unpacked `_SCHUR_BLOCK` columns at a
     time.  Each row of Y and S depends only on its own rows of Y0 and C, so the
-    rest rows go through in blocks of `_SCHUR_ROWS`: only S (nrest x nother)
-    and one row block of Y are held dense.  The entries of T and B are split
-    into limbs once per call (`_limbs`, for sums of at most m inner terms, m
-    the kept columns), and every level block and slab of B is built from
-    those limbs.
+    rest rows go through in blocks of `_SCHUR_CELLS` // max(m, nother) rows, m
+    the kept columns: only one row block of Y and one of S are ever dense, and
+    each block of S is emitted as coordinates before the next is formed.  In a
+    block, a level step whose columns of Y read only zeros is skipped, and B
+    is unpacked only in the rows of the nonzero columns of Y and only in the
+    slabs those rows reach.  The entries of T and B are split into limbs once
+    per call (`_limbs`, for sums of at most m inner terms), and every level
+    block and slab of B is built from those limbs.
     """
     top, left = i < k, j < k
-    s = np.zeros((nrest, nother))
     c = ~top & ~left
-    s[i[c] - k, j[c] - k] = vals[c]
+    ci, cj, cv = i[c] - k, j[c] - k, vals[c]
     t, d, b, y0 = top & left & (i != j), top & (i == j), top & ~left, ~top & left
     diag = np.empty(k, np.int64)
     diag[i[d]] = vals[d]
@@ -579,13 +585,20 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     steps = _level_schedule(ti, tj, _limbs(tv * inv[ti] % p, p, m), m)
     order = np.argsort(bj, kind="stable")  # B by column, for `_column_slab`
     b = bi[order], bj[order], _limbs(bv[order] * inv[bi[order]] % p, p, m)
-    for r in range(0, nrest, _SCHUR_ROWS):
-        e = min(r + _SCHUR_ROWS, nrest)
+    step = max(1, _SCHUR_CELLS // max(m, nother, 1))
+    out = [(np.zeros(0, np.int64),) * 3]
+    for r in range(0, nrest, step):
+        e = min(r + step, nrest)
+        mine = (ci >= r) & (ci < e)
+        s = np.zeros((e - r, nother))
+        s[ci[mine] - r, cj[mine]] = cv[mine]
         mine = (yi >= r) & (yi < e)
         y = np.zeros((e - r, m), order="F")
         y[yi[mine] - r, yj[mine]] = yv[mine]
         for cols, rows, block in steps:
-            y[:, cols] = _sub_mod(y[:, cols], y[:, rows], block, p)
+            x = y[:, rows]
+            if x.any():
+                y[:, cols] = _sub_mod(y[:, cols], x, block, p)
         inner = np.flatnonzero(y.any(axis=0) & meets_b)
         # keep only the nonzero columns of Y that meet B, compacted in place:
         # inner[n] >= n, so a block is written only over columns no later
@@ -594,10 +607,18 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
             cols = inner[t:t + _SCHUR_BLOCK]
             y[:, t:t + cols.size] = y[:, cols]
         y = y[:, :inner.size]
-        for t in range(0, nother, _SCHUR_BLOCK):
+        # the entries of B in those rows, renumbered as in y, and only the
+        # slabs they reach
+        at = np.full(m, -1)
+        at[inner] = np.arange(inner.size)
+        mine = at[b[0]] >= 0
+        part = at[b[0][mine]], b[1][mine], b[2][:, mine]
+        for t in np.flatnonzero(np.bincount(part[1] // _SCHUR_BLOCK)) * _SCHUR_BLOCK:
             u = min(t + _SCHUR_BLOCK, nother)
-            _sub_mod(s[r:e, t:u], y, _column_slab(*b, m, t, u)[:, inner], p)
-    return s
+            _sub_mod(s[:, t:u], y, _column_slab(*part, inner.size, t, u), p)
+        si, sj = np.nonzero(s.astype(bool))
+        out.append((si + r, sj, s[si, sj].astype(np.int64)))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def _exact_schur_complement(g, k, field):
@@ -653,11 +674,12 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     The pivots of a structural echelon block (`_structural_pivots` on the rows
     or on the columns, whichever gives more) count without arithmetic.  The
     other lines go into the Schur complement S of the pivot block, and
-    rank = k + rank(S).  S is formed in float64 BLAS over every GF(p)
-    (`_schur_complement`, exact by `_sub_mod`'s limb and chunk bound), and by
-    `_eliminate` over QQ (`_exact_schur_complement`, on the block matrix
-    filled from the coordinates).  Only S, or a matrix more than half full, is
-    ever held dense.
+    rank = k + rank(S), ranked here from S's coordinates.  S is formed in
+    float64 BLAS over every GF(p) (`_schur_complement`, exact by `_sub_mod`'s
+    limb and chunk bound), where only one row block of S and one of Y are
+    ever dense, and by `_eliminate` over QQ (`_exact_schur_complement`, on the
+    block matrix filled densely from the coordinates).  A matrix more than
+    half full is eliminated densely.
     """
     if not vals.size:
         return 0
@@ -668,8 +690,12 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     if t_piv.size > piv.size:
         piv, lead, rest, rows, cols, nrows, ncols = t_piv, t_lead, t_rest, cols, rows, ncols, nrows
     k = len(piv)
-    if not rest.size:
-        # the pivot lines, sorted by leading index, are already in echelon form
+    live = np.zeros(ncols, bool)  # the nonzero columns besides the leading ones
+    live[cols] = True
+    live[lead] = False
+    if not (rest.size and live.any()):
+        # the pivot lines, sorted by leading index, are already in echelon
+        # form, and with no other nonzero line or column they span the rest
         return k
     # A matrix more than half full has few structural pivots, and each level
     # of the recursion would peel off only those few at a fixed cost, so it is
@@ -679,38 +705,27 @@ def _rank(rows, cols, vals, nrows, ncols, field):
         a[rows, cols] = vals
         return len(_eliminate(a, field, full=False))
     # number the pivot lines, then the rest; the pivot columns, then the others
-    live = np.zeros(ncols, bool)
-    live[cols] = True
-    live[lead] = False
     row_order, col_order = np.concatenate([piv, rest]), np.concatenate([lead, np.flatnonzero(live)])
     row_at = np.empty(nrows, np.int64)
     row_at[row_order] = np.arange(row_order.size)
     col_at = np.empty(ncols, np.int64)
     col_at[col_order] = np.arange(col_order.size)
+    nrest, nother = rest.size, col_order.size - k
     p = field.characteristic
     # Exactness: every product in `_schur_complement` goes through `_sub_mod`,
     # whose sums of at most k terms stay exact float64 integers for every
     # p < 2**31 (`_limbs`)
     if p:
-        schur = _schur_complement(vals, row_at[rows], col_at[cols], k, rest.size,
-                                  col_order.size - k, p)
+        schur = _schur_complement(vals, row_at[rows], col_at[cols], k, nrest, nother, p)
     else:
-        g = np.zeros((row_order.size, col_order.size), vals.dtype)
+        g = np.zeros((k + nrest, k + nother), vals.dtype)
         g[row_at[rows], col_at[cols]] = vals
-        schur = _exact_schur_complement(g, k, field)
-    return k + _schur_rank(schur, field)
-
-
-def _schur_rank(s, field):
-    """Rank of a dense Schur complement: float64 residues from
-    `_schur_complement`, ranked as int64, or the integers or residues of
-    `_exact_schur_complement`.  More than half full, it goes straight to
-    `_eliminate`: its coordinates would take four times its size."""
-    dtype = np.int64 if s.dtype == np.float64 else s.dtype
-    nonzero = s.astype(bool)
-    if 2 * np.count_nonzero(nonzero) > s.size:
-        return len(_eliminate(np.asarray(s, dtype), field, full=False))
-    return _rank(*_coordinates(s, nonzero, dtype), *s.shape, field)
+        s = _exact_schur_complement(g, k, field)
+        schur = _coordinates(s, s.astype(bool), s.dtype)
+        del g, s
+    # only S's coordinates are needed below this level
+    del piv, lead, rest, t_piv, t_lead, t_rest, live, row_order, col_order, row_at, col_at
+    return k + _rank(*schur, nrest, nother, field)
 
 
 def rank_of_rows(rows, ncols, field):
@@ -727,9 +742,11 @@ def rank_of_rows(rows, ncols, field):
     GF(p), with one product per block where k·(p−1)² + p <= 2⁵³ and past that
     bound (always for GF(1073741789)) the second factor split into 15-bit
     limbs, reduced every t terms with t·(p−1)·(2¹⁵−1) + 2p <= 2⁵³; by
-    `_eliminate` over QQ.  A matrix more than half full comes from
-    `_eliminate`, unless the structural pivots already account for every
-    nonzero line.
+    `_eliminate` over QQ.  Over GF(p) only one row block of the Schur
+    complement, and one of the solve that feeds it, is ever dense, at most
+    2¹⁸ cells each; the complement is ranked from its coordinates.  A matrix
+    more than half full comes from `_eliminate`, unless the structural pivots
+    already account for every nonzero line or column.
     """
     nrows = len(rows)
     if isinstance(rows, SparseRows):

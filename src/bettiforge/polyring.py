@@ -1,11 +1,12 @@
 """Forms over an exact field, the contraction action, Macaulay matrices.
 
 Every polynomial is a form: homogeneous of one degree, or zero.  The degree-d
-monomials are listed by `monomials_of_degree` in graded lexicographic order
-with x1 > x2 > ... > xn, largest first (x1^d first, xn^d last), and all matrix
-rows/columns follow that listing so kernels and certificates are
-reproducible.  A `Polynomial` holds its degree, the ascending positions of its
-terms in that listing and their coefficients, so arithmetic on forms is array
+monomials are listed by `exponent_array`, an int64 array, in graded
+lexicographic order with x1 > x2 > ... > xn, largest first (x1^d first, xn^d
+last), and all matrix rows/columns follow that listing so kernels and
+certificates are reproducible; `monomial_count` counts it without building
+it.  A `Polynomial` holds its degree, the ascending positions of its terms in
+that listing and their coefficients, so arithmetic on forms is array
 arithmetic on `exponent_array` and `product_positions`.
 
 Coefficients are field arrays (see `exactalg`).  `Polynomial.__init__` is the
@@ -36,27 +37,31 @@ from .errors import DimensionMismatchError, NonHomogeneousError, PreconditionErr
 from .exactalg import QQ, same_field
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(nvars, degree):
-    """All degree-`degree` monomials in `nvars` variables, largest first (grlex)."""
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    if nvars == 1:
-        return ((degree,),)
-    out = []
-    for e in range(degree, -1, -1):
-        for tail in monomials_of_degree(nvars - 1, degree - e):
-            out.append((e,) + tail)
-    return tuple(out)
+def monomial_count(nvars, degree):
+    """The number of degree-`degree` monomials in `nvars` variables."""
+    return comb(degree + nvars - 1, degree) if nvars else int(degree == 0)
 
 
 @lru_cache(maxsize=None)
 def exponent_array(nvars, degree):
-    """monomials_of_degree(nvars, degree) as a read-only int64 array, one row per monomial."""
-    monos = monomials_of_degree(nvars, degree)
-    out = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    """All degree-`degree` monomials in `nvars` variables as a read-only int64
+    array, one row per monomial, largest first (grlex): one block of rows per
+    leading exponent e, from `degree` down to 0, whose other columns are the
+    listing of degree - e in the other variables."""
+    out = np.full((monomial_count(nvars, degree), nvars), degree, np.int64)
+    if nvars > 1:
+        at = 0
+        for e in range(degree, -1, -1):
+            tail = exponent_array(nvars - 1, degree - e)
+            out[at:at + len(tail), 0], out[at:at + len(tail), 1:] = e, tail
+            at += len(tail)
     out.flags.writeable = False
     return out
+
+
+def monomials_of_degree(nvars, degree):
+    """The rows of `exponent_array` as exponent tuples."""
+    return tuple(map(tuple, exponent_array(nvars, degree).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +69,7 @@ def _grlex_weights(nvars, top):
     """weights[i, r] = C(r + nvars - 2 - i, nvars - 1 - i) for r <= top, nvars >= 2.
 
     Among the monomials that agree with x^m before variable i, that many come
-    before it in monomials_of_degree (those with a larger exponent at i), where
+    before it in exponent_array (those with a larger exponent at i), where
     r is the degree m leaves after variable i.  A monomial's position is the
     sum of these counts over i < nvars - 1.
     """
@@ -80,7 +85,7 @@ def _degrees_left(exps):
 
 
 def product_positions(monos, terms):
-    """Positions of x^m * x^w in monomials_of_degree, m over the rows of `monos`
+    """Positions of x^m * x^w in exponent_array, m over the rows of `monos`
     and w over the rows of `terms` (int64 exponent arrays, monomials x variables).
 
     Returns a (len(monos) x len(terms)) int64 array.  The degree left after
@@ -99,7 +104,7 @@ def product_positions(monos, terms):
 
 def positions_of(exps):
     """Positions of the rows of the int64 exponent array `exps`, all of one
-    degree, in monomials_of_degree."""
+    degree, in exponent_array."""
     return product_positions(exps, exponent_array(exps.shape[1], 0))[:, 0]
 
 
@@ -115,7 +120,7 @@ def variable_shift_map(nvars, degree, var):
 
 class Polynomial:
     """A form over an exact field: `degree` (None for zero only), the ascending
-    int64 `positions` of its terms in monomials_of_degree(nvars, degree), the
+    int64 `positions` of its terms in exponent_array(nvars, degree), the
     largest monomial first, and the field array `values` of their nonzero
     coefficients."""
 
@@ -242,7 +247,7 @@ class Polynomial:
             raise PreconditionError("zero polynomial needs an explicit degree")
         if self.degree not in (None, d):
             raise NonHomogeneousError("polynomial is not homogeneous of the requested degree")
-        vec = self.field.zeros(len(monomials_of_degree(self.nvars, d)))
+        vec = self.field.zeros(monomial_count(self.nvars, d))
         vec[self.positions] = self.values
         return vec
 
@@ -329,21 +334,25 @@ def standard_linear_form(nvars, field=QQ):
     return power_of_linear([1] * nvars, 1, field)
 
 
+def require_general_ell(degrees, field):
+    """Refuse a characteristic p with 0 < p <= Σ(d_i − 1), the socle degree of
+    R/(x^d): up to there ℓ = x_1 + .. + x_n can fail the strong Lefschetz
+    property of R/(x^d) (Cook II, J. Algebra 369, 2012), and an ideal built
+    with it is not the general one the closed formulas describe."""
+    p, socle = field.characteristic, sum(d - 1 for d in degrees)
+    if 0 < p <= socle:
+        raise PreconditionError(f"GF({p}) is too small for ℓ = x1 + .. + xn: the characteristic "
+                                f"must exceed the socle degree {socle} of R/(x^d)")
+
+
 def power_ideal(degrees, ell_power, field):
     """Generators x_1^d1, .., x_n^dn, then ℓ^e, ℓ = x_1 + .. + x_n, unless
-    ell_power is None.
-
-    With ℓ^e the characteristic p must be 0 or above the socle degree
-    Σ(d_i − 1) of R/(x^d): up to there ℓ can fail the strong Lefschetz
-    property of R/(x^d) (Cook II, J. Algebra 369, 2012), and the ideal is not
-    the general one the closed formulas describe."""
+    ell_power is None; ℓ^e only over a characteristic `require_general_ell`
+    allows."""
     n = len(degrees)
     gens = [Polynomial.variable_power(i, d, n, field) for i, d in enumerate(degrees)]
     if ell_power is not None:
-        p, socle = field.characteristic, sum(d - 1 for d in degrees)
-        if 0 < p <= socle:
-            raise PreconditionError(f"GF({p}) is too small for ℓ = x1 + .. + xn: the characteristic "
-                                    f"must exceed the socle degree {socle} of R/(x^d)")
+        require_general_ell(degrees, field)
         gens.append(power_of_linear([1] * n, ell_power, field))
     return gens
 
@@ -377,7 +386,7 @@ def macaulay_matrix(generators, j):
     `macaulay_columns`, one per product m * g with m a monomial of degree j - deg g.
     """
     nvars, field = ring_of(generators)
-    nrows = len(monomials_of_degree(nvars, j))
+    nrows = monomial_count(nvars, j)
     blocks = [field.zeros((nrows, 0))]
     for g in generators:
         if g.is_zero() or g.degree > j:

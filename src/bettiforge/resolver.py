@@ -38,7 +38,7 @@ from .polyring import (
     exponent_array,
     macaulay_columns,
     macaulay_matrix,
-    monomials_of_degree,
+    monomial_count,
     power_ideal,
     product_positions,
     ring_of,
@@ -216,7 +216,7 @@ def ideal_slices(gens, max_degree=None):
         bases[j] = slice_at_degree(gens, j, nvars, field)
         if bases[j].codim == 0 and j < max_degree:
             for k in range(j + 1, max_degree + 1):
-                bases[k] = RowBasis.full(len(monomials_of_degree(nvars, k)), field)
+                bases[k] = RowBasis.full(monomial_count(nvars, k), field)
             break
     return GradedQuotient(nvars, field, bases)
 
@@ -378,7 +378,7 @@ def colon_ideal(gens, f):
     max_degree = max(0, quot.socle_degree - df + 1)
     bases = {}
     for j in range(max_degree + 1):
-        ncols = len(monomials_of_degree(nvars, j))
+        ncols = monomial_count(nvars, j)
         h = quot.hf(j + df)
         if h == 0:
             bases[j] = RowBasis.full(ncols, field)

@@ -18,9 +18,10 @@ from .hilbert import froberg_series, multiplicity_of_truncation
 from .polyring import (
     Polynomial,
     dot,
-    monomials_of_degree,
+    monomial_count,
     power_ideal,
     power_of_linear,
+    require_general_ell,
     standard_linear_form,
 )
 from .resolver import (
@@ -166,7 +167,9 @@ def check_xn_regular(ds, field=GF_DEFAULT):
     cannot reappear.  The same certificate runs for the (n-1)-form ideal, and
     the colon quotient inherits regularity from it because it embeds by
     multiplication; its low-degree slices are also checked directly.  An
-    ell^e inside (x_i^d_i), where the certificate is not argued, is refused.
+    ell^e inside (x_i^d_i), where the certificate is not argued, is refused,
+    and so is a characteristic `require_general_ell` refuses for the
+    reduction.
     """
     if ds.nvars < 2:
         # with n = 1, ell = x_1: at the even e parity allows, the lifted form of
@@ -177,6 +180,8 @@ def check_xn_regular(ds, field=GF_DEFAULT):
 
     points = enumerate_point_set(ds)
     ds.require_minimal()
+    # the field-side forms (`_family_polys`) lift ℓ^e over `field`
+    require_general_ell(reduced.degrees, field)
     red_gens = power_ideal(reduced.degrees, e, QQ)
     red = ideal_slices(red_gens)
     if not red.artinian or sum(red.hilbert()) != points.count:
@@ -247,7 +252,7 @@ def check_colon_equals_plus(ds, field=GF_DEFAULT):
 
     def colon_vs_plus(quot, plus_dims):
         s = quot.socle_degree
-        nmon = [len(monomials_of_degree(n, j)) for j in range(s + 3)]
+        nmon = [monomial_count(n, j) for j in range(s + 3)]
         ranks = []
         for j in range(s + 2):
             if quot.hf(j + 1) == 0:
@@ -423,7 +428,7 @@ def random_generic_level_spotcheck(nvars, degrees, seed):
     for _ in range(GENERIC_ATTEMPTS):
         forms = []
         for deg in degrees:
-            coeffs = [rng.randrange(field.p) for _ in monomials_of_degree(nvars, deg)]
+            coeffs = [rng.randrange(field.p) for _ in range(monomial_count(nvars, deg))]
             forms.append(Polynomial.from_vector(coeffs, nvars, deg, field))
         if any(f.is_zero() for f in forms):
             continue

@@ -64,6 +64,8 @@ def test_lefschetz_refuses_an_element_that_is_not_linear(ell, capsys):
     (["check", "colon-plus", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 5),
     (["lefschetz", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 5),
     (["lefschetz", "--degrees", "3,3,2", "--ell-power", "4", "--colon", "--field", "3"], 5),
+    (["check", "regular", "--degrees", "3,3,2", "--ell-power", "4", "--field", "2"], 4),
+    (["check", "regular", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 4),
 ])
 def test_a_characteristic_up_to_the_socle_degree_is_refused(argv, socle, capsys):
     # the paper's ideals need ell = x1 + .. + xn general: p > sum(d_i - 1)

@@ -508,7 +508,9 @@ SCHUR_FIELDS = (GF_DEFAULT, GF_PARANOIA)
 def _schur_matches_exact(field, t, nrest, nother, seed, density=0.3, b_rows=None):
     """`_schur_complement` over the prime field `field` on [[T, B], [Y0, C]],
     with random B (nonzero only in `b_rows`, if given), Y0 and C and the
-    coordinates in shuffled order, equals `_exact_schur_complement`."""
+    coordinates in shuffled order, gives the nonzero entries of
+    `_exact_schur_complement` as int64 coordinates in (row, column) order.
+    Returns those coordinates."""
     rng = np.random.default_rng(seed)
     p, k = field.characteristic, len(t)
     g = rng.integers(1, p, (k + nrest, k + nother)) * (rng.random((k + nrest, k + nother)) < density)
@@ -518,9 +520,14 @@ def _schur_matches_exact(field, t, nrest, nother, seed, density=0.3, b_rows=None
     i, j = np.nonzero(g)
     shuffle = rng.permutation(i.size)
     i, j = i[shuffle], j[shuffle]
-    got = _schur_complement(g[i, j], i, j, k, nrest, nother, p)
+    rows, cols, vals = _schur_complement(g[i, j], i, j, k, nrest, nother, p)
     want = _exact_schur_complement(g.copy(), k, field)
-    assert got.dtype == np.float64 and got.tolist() == want.tolist()
+    assert rows.dtype == cols.dtype == vals.dtype == np.int64 and vals.all()
+    assert np.lexsort((cols, rows)).tolist() == list(range(rows.size))
+    got = np.zeros((nrest, nother), np.int64)
+    got[rows, cols] = vals
+    assert got.tolist() == want.tolist()
+    return rows, cols, vals
 
 
 def _upper(rng, k, density):
@@ -574,11 +581,50 @@ def test_schur_complement_with_no_other_columns():
 
 
 def test_schur_complement_over_several_row_blocks():
-    # the rest rows go through in blocks of `_SCHUR_ROWS`, the last one short
-    k = 45
+    # the rest rows go through in blocks of `_SCHUR_CELLS` // max(m, nother)
+    # rows, here nother: two full blocks and a short one
+    k, nother = 45, 4096
+    nrest = 2 * (exactalg._SCHUR_CELLS // nother) + 37
     for field in SCHUR_FIELDS:
         _schur_matches_exact(field, _upper(np.random.default_rng(4), k, 0.1),
-                             exactalg._SCHUR_ROWS + 37, 20, seed=4, density=0.05)
+                             nrest, nother, seed=4, density=0.01)
+
+
+def test_row_blocks_of_one_row_change_nothing(monkeypatch):
+    # a cell bound below one row gives blocks of one row each: the same
+    # coordinates of S, and the same ranks, as one block
+    rng = np.random.default_rng(8)
+    t = _upper(rng, 150, 0.05)
+    mats = [rng.integers(1, 50, (120, 100)) * (rng.random((120, 100)) < density)
+            for density in (0.02, 0.04, 0.08)]
+    for field in SCHUR_FIELDS:
+        whole = _schur_matches_exact(field, t, 23, 14, seed=8)
+        ranks = [rank_of_rows(a, 100, field) for a in mats]
+        assert ranks == [len(_eliminate(field.array(a, 100), field, full=False)) for a in mats]
+        monkeypatch.setattr(exactalg, "_SCHUR_CELLS", 1)
+        rowwise = _schur_matches_exact(field, t, 23, 14, seed=8)
+        assert [x.tolist() for x in rowwise] == [x.tolist() for x in whole]
+        assert [rank_of_rows(a, 100, field) for a in mats] == ranks
+        monkeypatch.undo()
+
+
+def test_row_blocks_stay_within_the_cell_bound(monkeypatch):
+    # B meets every row of a chain T, so all k columns of Y are kept (m = k):
+    # a dense block of Y or S has at most `_SCHUR_CELLS` // max(m, nother) rows
+    k, nother, cells = 300, 6, 3000
+    t = np.diag(np.arange(1, k + 1)) + np.diag(np.full(k - 1, -3), 1)
+    heights = []
+
+    def spy(c, a, b, p):
+        heights.append(len(c))
+        return sub_mod(c, a, b, p)
+
+    sub_mod = exactalg._sub_mod
+    monkeypatch.setattr(exactalg, "_sub_mod", spy)
+    monkeypatch.setattr(exactalg, "_SCHUR_CELLS", cells)
+    for field in SCHUR_FIELDS:
+        _schur_matches_exact(field, t, 45, nother, seed=9, density=0.5)
+    assert heights and max(heights) == cells // k
 
 
 def _raise(*args, **kwargs):

@@ -225,6 +225,15 @@ def test_formula_matches_oracle_at_five_variables(formula, kind, sweep):
 
 
 @pytest.mark.slow
+@FORMULA_SWEEPS
+def test_formula_matches_oracle_at_six_variables(formula, kind, sweep):
+    # degrees and ell powers in {2, 3}: 26 comparisons, whose largest Koszul
+    # matrices take the Schur kernel through many row blocks
+    for ds in sweep([6], (2, 3), (2, 3)):
+        assert formula(ds) == oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind), ds
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", ["aci", "gorenstein"])
 def test_formula_matches_oracle_at_every_prime_above_the_socle_degree(kind):
     # `power_ideal` refuses p <= sum(d_i - 1); above that bound every prime up

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from bettiforge.exactalg import rank_of_rows
 from bettiforge.polyring import (
     exponent_array,
     macaulay_columns,
+    monomial_count,
     monomials_of_degree,
     power_ideal,
     product_positions,
@@ -45,6 +47,29 @@ def test_monomial_order_descending():
     monos = monomials_of_degree(3, 2)
     assert monos[0] == (2, 0, 0) and monos[-1] == (0, 0, 2)
     assert monos == tuple(sorted(monos, reverse=True))
+
+
+def _grlex_reference(nvars, degree):
+    """The degree-`degree` monomials in `nvars` variables, largest first: for
+    each leading exponent from `degree` down, the listing of the rest."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    if nvars == 1:
+        return [(degree,)]
+    return [(e,) + tail for e in range(degree, -1, -1)
+            for tail in _grlex_reference(nvars - 1, degree - e)]
+
+
+@pytest.mark.parametrize("nvars", range(8))
+def test_exponent_array_is_the_grlex_listing(nvars):
+    for degree in range(9):
+        want = _grlex_reference(nvars, degree)
+        got = exponent_array(nvars, degree)
+        assert got.dtype == np.int64 and got.shape == (len(want), nvars)
+        assert not got.flags.writeable
+        assert got.tolist() == [list(m) for m in want]
+        assert monomials_of_degree(nvars, degree) == tuple(want)
+        assert monomial_count(nvars, degree) == len(want)
 
 
 @pytest.mark.parametrize("nvars", range(7))

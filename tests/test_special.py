@@ -7,6 +7,7 @@ from bettiforge import (
     QQ,
     DegreeSequence,
     Polynomial,
+    PrimeField,
     annihilator,
     build_lifted_family,
     check_colon_equals_plus,
@@ -88,6 +89,20 @@ def test_xn_regular_small_cases():
     assert check_xn_regular(DegreeSequence(4, (2, 2, 3, 2), 2))
     with pytest.raises(ParityError):
         check_xn_regular(DegreeSequence(3, (2, 3, 2), 2))
+
+
+@pytest.mark.parametrize("degrees,e", [((3, 3, 2), 4), ((2, 3, 3), 2), ((4, 4, 2), 2)])
+def test_xn_regular_refuses_a_characteristic_up_to_the_reduced_socle_degree(degrees, e):
+    # the lifted forms build ell^e of the reduction, without x_n^2, over the
+    # field: p must exceed its socle degree, sum(d_i - 1) over the rest
+    ds = DegreeSequence(len(degrees), degrees, e)
+    socle = sum(d - 1 for d in ds.split_quadric()[2].degrees)
+    for p in (2, 3, 5, 7):
+        if p <= socle:
+            with pytest.raises(PreconditionError, match=f"^GF\\({p}\\) .* socle degree {socle} "):
+                check_xn_regular(ds, PrimeField(p))
+    above = next(p for p in (2, 3, 5, 7, 11) if p > socle)
+    assert check_xn_regular(ds, PrimeField(above))
 
 
 @pytest.mark.parametrize("ds", quadric_sum_sweep(range(1, 5)),
