@@ -169,7 +169,7 @@ def _cmd_betti(args):
     field = field_from_spec(args.field)
     fmt = args.format
     if args.mode == "oracle":
-        if args.gens:
+        if args.gens is not None:
             if args.degrees is not None or args.ell_power is not None or args.colon:
                 raise PreconditionError("--gens takes no --degrees, --ell-power or --colon")
             texts = args.gens.split(";")
@@ -181,6 +181,8 @@ def _cmd_betti(args):
             return 0
         if args.nvars is not None:
             raise PreconditionError("--nvars needs --gens")
+        if args.degrees is None:
+            raise PreconditionError("--gens or --degrees is required")
         ds = _degree_sequence(args)
         table = _oracle_table(ds, field, args.colon)
         print(emit_table(table, ds.nvars, fmt))

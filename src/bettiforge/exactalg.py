@@ -16,7 +16,9 @@ divided out after each step, and divided by its pivot only where a reduced
 basis is handed out.  The integers are int64 while every entry stays below
 `_INT64_BOUND` = 2**31 in absolute value, so that each update
 piv·x − y·z stays below 2·(2**31 − 1)**2 < 2**63; one max checks the bound
-after every step, and where it fails the call restarts on Python ints.
+after every step, and where it fails, that step is redone on a copy of the
+array in Python ints, which carries the rest of the elimination: the int64
+steps before it are kept.
 
 Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010), and
 work on a matrix's nonzero coordinates.  Each nonzero row has a leading
@@ -75,11 +77,6 @@ _LIMB_BITS = 15
 _INT64_BOUND = 2**31
 
 
-class _Int64Overflow(ArithmeticError):
-    """An int64 elimination over QQ reached `_INT64_BOUND`; the call restarts
-    on Python ints (`_exactly`)."""
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -124,8 +121,9 @@ class RationalField(_ArrayField):
     and `pivot_step` keeps them integers (fraction-free, after Bareiss, Math.
     Comp. 22, 1968), so a reduced row is divided by its pivot only where a
     basis is handed out (`pivot_rows`).  The integers are int64 while every
-    entry stays below `_INT64_BOUND` in absolute value, else Python ints in an
-    object array.
+    entry stays below `_INT64_BOUND` in absolute value; the step that would
+    pass it moves the array to Python ints in an object array
+    (`pivot_step`).
     """
 
     characteristic = 0
@@ -155,11 +153,11 @@ class RationalField(_ArrayField):
     def sub_dense(self, c, a, b):
         return c - a @ b
 
-    def numerators(self, rows, vals, wide=False):
+    def numerators(self, rows, vals):
         """The nonzero rationals `vals` in the sorted `rows` as integers: each
         row times the lcm of its denominators, then divided by the gcd of the
-        products.  int64 while every one is below `_INT64_BOUND` in absolute
-        value and not `wide`, else Python ints in an object array."""
+        products.  int64 if every one is below `_INT64_BOUND` in absolute
+        value, else Python ints in an object array."""
         if not vals.size:
             return np.zeros(0, np.int64)
         first = _starts(rows)
@@ -169,14 +167,14 @@ class RationalField(_ArrayField):
         den = np.array([x.denominator for x in vals], object)
         num *= np.lcm.reduceat(den, starts)[row] // den
         num //= np.gcd.reduceat(num, starts)[row]
-        if wide or np.abs(num).max() >= _INT64_BOUND:
+        if np.abs(num).max() >= _INT64_BOUND:
             return num
         return num.astype(np.int64)
 
-    def row_numerators(self, a, wide=False):
+    def row_numerators(self, a):
         """The array `a` with each row scaled to integers, as by `numerators`."""
         rows, cols = np.nonzero(a.astype(bool))
-        vals = self.numerators(rows, a[rows, cols], wide)
+        vals = self.numerators(rows, a[rows, cols])
         out = np.zeros(a.shape, vals.dtype)
         out[rows, cols] = vals
         return out
@@ -184,15 +182,17 @@ class RationalField(_ArrayField):
     def pivot_step(self, a, r, c, rows):
         """Clear column c of the integer array `a` in `rows` with pivot row r:
         row_i <- a[r, c]·row_i − a[i, c]·row_r on the union of their nonzero
-        columns, then row_i is divided by the gcd of its entries.
+        columns, then row_i is divided by the gcd of its entries.  Returns the
+        array that holds the result: `a`, or a copy of it in Python ints.
 
         Exactness: in int64 every entry is below `_INT64_BOUND` = 2**31 in
         absolute value, so each new entry is at most 2·(2**31 − 1)**2 < 2**63;
         one max over the new entries checks that they are still below the
-        bound, and `_Int64Overflow` is raised before any is written if not.
+        bound.  Where one is not, nothing is written, and the step is redone
+        on `a.astype(object)`, whose Python ints keep every later step exact.
         """
         if not rows.size:
-            return
+            return a
         cols = np.flatnonzero(a[r].astype(bool) | a[rows].astype(bool).any(axis=0))
         block = np.ix_(rows, cols)
         new = a[r, c] * a[block] - np.outer(a[rows, c], a[r, cols])
@@ -200,8 +200,9 @@ class RationalField(_ArrayField):
         content[content == 0] = 1
         new //= content[:, None]
         if new.dtype != object and np.abs(new).max() >= _INT64_BOUND:
-            raise _Int64Overflow
+            return self.pivot_step(a.astype(object), r, c, rows)
         a[block] = new
+        return a
 
     def pivot_rows(self, a, pivots):
         """The rows of `a`, each divided by its entry at its pivot, as a
@@ -280,11 +281,11 @@ class PrimeField(_ArrayField):
         out = _sub_mod(c.astype(np.float64), a.astype(np.float64), _limbs(b, p, a.shape[1]), p)
         return out.astype(np.int64)
 
-    def numerators(self, rows, vals, wide=False):
+    def numerators(self, rows, vals):
         """Residues need no scaling: `vals` as they are."""
         return vals
 
-    def row_numerators(self, a, wide=False):
+    def row_numerators(self, a):
         """Residues need no scaling: `a` as it is."""
         return a
 
@@ -297,6 +298,7 @@ class PrimeField(_ArrayField):
         if rows.size:
             block = np.ix_(rows, nzc)
             a[block] = self.reduce(a[block] - np.outer(a[rows, c], prow))
+        return a
 
     def pivot_rows(self, a, pivots):
         """`_eliminate` has already scaled every pivot to 1."""
@@ -330,9 +332,10 @@ def field_from_spec(spec):
     if text.startswith("prime:"):
         text = text[len("prime:"):]
     try:
-        return PrimeField(int(text))
+        p = int(text)
     except ValueError as exc:
         raise PreconditionError(f"cannot parse field spec {spec!r}") from exc
+    return PrimeField(p)
 
 
 def same_field(*fields):
@@ -348,7 +351,9 @@ def same_field(*fields):
 
 
 def _eliminate(a, field, full, stop=None):
-    """Row-reduce the array `a` in place and return its pivot columns.
+    """Row-reduce the array `a` in place; return it, or its copy in Python
+    ints past the int64 bound over QQ (`RationalField.pivot_step`), and its
+    pivot columns.
 
     Pivot choice is deterministic: columns left to right, lowest remaining
     row.  The field's `pivot_step` clears each pivot column: over GF(p) `a`
@@ -377,18 +382,9 @@ def _eliminate(a, field, full, stop=None):
         rows = r + nz[1:]
         if full:
             rows = np.concatenate([np.flatnonzero(a[:r, c]), rows])
-        field.pivot_step(a, r, c, rows)
+        a = field.pivot_step(a, r, c, rows)
         pivots.append(c)
-    return pivots
-
-
-def _exactly(run):
-    """run(False), and where an int64 elimination over QQ reaches
-    `_INT64_BOUND`, run(True): the same call on Python ints."""
-    try:
-        return run(False)
-    except _Int64Overflow:
-        return run(True)
+    return a, pivots
 
 
 def _starts(x):
@@ -495,19 +491,6 @@ def _levels(a, q, k):
         level += deep
 
 
-def _reaching(a, q, wanted):
-    """The columns of Y that the `wanted` ones read, directly or not, with the
-    wanted ones, for a unit upper triangular T with its off-diagonal nonzeros
-    at (a, q): column q of Y T = Y0 reads column a of Y.  The mask only grows,
-    so the vectorized update is repeated until it changes nothing."""
-    keep = wanted.copy()
-    while True:
-        before = keep.sum()
-        keep[a[keep[q]]] = True
-        if keep.sum() == before:
-            return keep
-
-
 def _level_schedule(i, j, v, k):
     """Y T = Y0, for T the k x k unit upper triangular matrix with its
     off-diagonal entries at (i, j), given by their limbs v (`_limbs`), as a
@@ -544,18 +527,17 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     [[T, B], [Y0, C]] given by its nonzero int64 residues `vals` at (i, j),
     where T is k x k and upper triangular with a nonzero diagonal.
 
-    Only the columns of Y = Y0 T^-1 that meet B reach S, so T, B and Y0 are
-    first cut down to those and to the columns they read (`_reaching`).  Y T =
-    Y0 is then solved by the level schedule of T (`_level_schedule`), built
-    once, and S = C - Y B is formed with B unpacked `_SCHUR_BLOCK` columns at a
-    time.  Each row of Y and S depends only on its own rows of Y0 and C, so the
-    rest rows go through in blocks of `_SCHUR_CELLS` // max(m, nother) rows, m
-    the kept columns: only one row block of Y and one of S are ever dense, and
+    Y T = Y0 is solved on all k columns by the level schedule of T
+    (`_level_schedule`), built once, and S = C - Y B is formed from the
+    columns of Y = Y0 T^-1 that meet B, with B unpacked `_SCHUR_BLOCK` columns
+    at a time.  Each row of Y and S depends only on its own rows of Y0 and C,
+    so the rest rows go through in blocks of `_SCHUR_CELLS` // max(k, nother)
+    rows: only one row block of Y and one of S are ever dense, and
     each block of S is emitted as coordinates before the next is formed.  In a
     block, a level step whose columns of Y read only zeros is skipped, and B
     is unpacked only in the rows of the nonzero columns of Y and only in the
     slabs those rows reach.  The entries of T and B are split into limbs once
-    per call (`_limbs`, for sums of at most m inner terms), and every level
+    per call (`_limbs`, for sums of at most k inner terms), and every level
     block and slab of B is built from those limbs.
     """
     top, left = i < k, j < k
@@ -568,24 +550,17 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
     bi, bj, bv = i[b], j[b] - k, vals[b]
     yi, yj, yv = i[y0] - k, j[y0], vals[y0]
     del i, j, vals, top, left, t, d, b, y0, c  # `_rank` makes i and j for this call
-    wanted = np.zeros(k, bool)
-    wanted[bi] = True
-    keep = _reaching(ti, tj, wanted)
-    at = np.cumsum(keep) - 1  # the new number of each kept column
-    mine = keep[tj]
-    ti, tj, tv = at[ti[mine]], at[tj[mine]], tv[mine]
-    mine = keep[yj]
-    yi, yj, yv = yi[mine], at[yj[mine]], yv[mine]
-    bi, meets_b, heads = at[bi], wanted[keep], diag[keep].tolist()
-    m = len(heads)
+    meets_b = np.zeros(k, bool)  # the pivot columns whose rows hold B
+    meets_b[bi] = True
+    heads = diag.tolist()
     # dividing the rows of T and B by T's diagonal makes T unit upper
     # triangular; in int64, where each product, below p**2 < 2**62, is exact
     inverse = {x: pow(x, -1, p) for x in set(heads)}
     inv = np.array([inverse[x] for x in heads])
-    steps = _level_schedule(ti, tj, _limbs(tv * inv[ti] % p, p, m), m)
+    steps = _level_schedule(ti, tj, _limbs(tv * inv[ti] % p, p, k), k)
     order = np.argsort(bj, kind="stable")  # B by column, for `_column_slab`
-    b = bi[order], bj[order], _limbs(bv[order] * inv[bi[order]] % p, p, m)
-    step = max(1, _SCHUR_CELLS // max(m, nother, 1))
+    b = bi[order], bj[order], _limbs(bv[order] * inv[bi[order]] % p, p, k)
+    step = max(1, _SCHUR_CELLS // max(k, nother, 1))
     out = [(np.zeros(0, np.int64),) * 3]
     for r in range(0, nrest, step):
         e = min(r + step, nrest)
@@ -593,7 +568,7 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
         s = np.zeros((e - r, nother))
         s[ci[mine] - r, cj[mine]] = cv[mine]
         mine = (yi >= r) & (yi < e)
-        y = np.zeros((e - r, m), order="F")
+        y = np.zeros((e - r, k), order="F")
         y[yi[mine] - r, yj[mine]] = yv[mine]
         for cols, rows, block in steps:
             x = y[:, rows]
@@ -609,7 +584,7 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
         y = y[:, :inner.size]
         # the entries of B in those rows, renumbered as in y, and only the
         # slabs they reach
-        at = np.full(m, -1)
+        at = np.full(k, -1)
         at[inner] = np.arange(inner.size)
         mine = at[b[0]] >= 0
         part = at[b[0][mine]], b[1][mine], b[2][:, mine]
@@ -623,18 +598,18 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
 
 def _exact_schur_complement(g, k, field):
     """S = C - Y0 T^-1 B for the array g = [[T, B], [Y0, C]], where T is k x k
-    and upper triangular with a nonzero diagonal; g is overwritten.  Over QQ,
-    the one field `_rank` sends here, g holds integers
+    and upper triangular with a nonzero diagonal; g may be overwritten.  Over
+    QQ, the one field `_rank` sends here, g holds integers
     (`RationalField.numerators`) and S comes back up to row scaling, which
-    keeps its rank; over GF(p), where it is the tests' reference for
-    `_schur_complement`, g holds residues and S is exact.
+    keeps its rank, in int64 or, past `_INT64_BOUND`, in Python ints; over
+    GF(p), where it is the tests' reference for `_schur_complement`, g holds
+    residues and S is exact.
 
     `_eliminate` over the first k columns pivots on T's diagonal in order: the
     rows of T below a pivot are zero in its column, so only the Y0 rows are
     cleared, and the trailing block is left holding S.
     """
-    _eliminate(g, field, full=False, stop=k)
-    return g[k:, k:]
+    return _eliminate(g, field, full=False, stop=k)[0][k:, k:]
 
 
 @dataclass
@@ -659,11 +634,11 @@ class SparseRows:
         return (self.vals[a:b] for a, b in zip(ends, ends[1:]))
 
 
-def _coordinates(a, nonzero, dtype):
-    """The entries of the dense array `a` where the mask `nonzero` holds,
-    sorted by (row, column), as rows, columns and values of `dtype`."""
-    rows, cols = np.nonzero(nonzero)
-    return rows, cols, np.asarray(a[rows, cols], dtype)
+def _coordinates(a):
+    """The nonzero entries of the dense array `a`, sorted by (row, column),
+    as rows, columns and values."""
+    rows, cols = np.nonzero(a.astype(bool))
+    return rows, cols, a[rows, cols]
 
 
 def _rank(rows, cols, vals, nrows, ncols, field):
@@ -703,7 +678,7 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     if 2 * vals.size > nrows * ncols:
         a = np.zeros((nrows, ncols), vals.dtype)
         a[rows, cols] = vals
-        return len(_eliminate(a, field, full=False))
+        return len(_eliminate(a, field, full=False)[1])
     # number the pivot lines, then the rest; the pivot columns, then the others
     row_order, col_order = np.concatenate([piv, rest]), np.concatenate([lead, np.flatnonzero(live)])
     row_at = np.empty(nrows, np.int64)
@@ -720,9 +695,8 @@ def _rank(rows, cols, vals, nrows, ncols, field):
     else:
         g = np.zeros((k + nrest, k + nother), vals.dtype)
         g[row_at[rows], col_at[cols]] = vals
-        s = _exact_schur_complement(g, k, field)
-        schur = _coordinates(s, s.astype(bool), s.dtype)
-        del g, s
+        schur = _coordinates(_exact_schur_complement(g, k, field))
+        del g
     # only S's coordinates are needed below this level
     del piv, lead, rest, t_piv, t_lead, t_rest, live, row_order, col_order, row_at, col_at
     return k + _rank(*schur, nrest, nother, field)
@@ -756,18 +730,15 @@ def rank_of_rows(rows, ncols, field):
         if not (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
                 and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
             rows = field.array(rows, ncols)
-        r, c, v = _coordinates(rows, rows.astype(bool), rows.dtype)
-    return _exactly(lambda wide: _rank(r, c, field.numerators(r, v, wide), nrows, ncols, field))
+        r, c, v = _coordinates(rows)
+    return _rank(r, c, field.numerators(r, v), nrows, ncols, field)
 
 
 def _reduced(a, field):
     """The pivot columns and the reduced row echelon rows, one per pivot, of
     the field array `a`, which may be overwritten."""
-    def run(wide):
-        b = field.row_numerators(a, wide)
-        pivots = _eliminate(b, field, full=True)
-        return pivots, field.pivot_rows(b[:len(pivots)], pivots)
-    return _exactly(run)
+    b, pivots = _eliminate(field.row_numerators(a), field, full=True)
+    return pivots, field.pivot_rows(b[:len(pivots)], pivots)
 
 
 # ---------------------------------------------------------------------------

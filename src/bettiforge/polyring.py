@@ -437,7 +437,10 @@ def parse_polynomial(text, nvars=None, field=QQ):
                 sign = -sign
             continue
         if m.group("num"):
-            value = Fraction(m.group("num"))
+            try:
+                value = Fraction(m.group("num"))
+            except ZeroDivisionError:
+                raise PreconditionError(f"zero denominator in polynomial: {text!r}") from None
             coeff = value if coeff is None else coeff * value
         else:
             var = int(m.group("var")) - 1
@@ -463,6 +466,8 @@ def parse_polynomial(text, nvars=None, field=QQ):
         return Polynomial.from_terms(nvars, field, coeffs)
     except NonHomogeneousError:
         raise NonHomogeneousError(f"non-homogeneous input: {text!r}") from None
+    except ZeroDivisionError as exc:  # a denominator divisible by p
+        raise PreconditionError(f"{exc} in polynomial: {text!r}") from None
 
 
 def format_polynomial(p):

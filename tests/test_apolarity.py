@@ -117,6 +117,12 @@ def test_dual_generator_of_the_link_at_four_variables(degrees, e):
     _check_dual_generator_of_the_link(degrees, e)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("degrees,e", _dual_generator_inputs([5]))
+def test_dual_generator_of_the_link_at_five_variables(degrees, e):
+    _check_dual_generator_of_the_link(degrees, e)
+
+
 def test_dual_generator_socle_contraction():
     dual = Polynomial.monomial((1, 2), QQ)  # dual of (x1^2, x2^3)
     ell = standard_linear_form(2, QQ)

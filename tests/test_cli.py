@@ -254,6 +254,43 @@ def test_oracle_nvars_needs_gens(capsys):
     assert capsys.readouterr() == ("", "error: --nvars needs --gens\n")
 
 
+@pytest.mark.parametrize("argv", [["betti", "oracle", "--ell-power", "2"], ["betti", "oracle"]],
+                         ids=" ".join)
+def test_oracle_needs_gens_or_degrees(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --gens or --degrees is required\n")
+
+
+def test_oracle_takes_empty_gens_as_given(capsys):
+    # an empty --gens is read as a polynomial, not as an absent option
+    assert main(["betti", "oracle", "--gens", ""]) == 1
+    assert capsys.readouterr() == ("", "error: empty polynomial: ''\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["annihilator", "--form", "1/0"], "zero denominator in polynomial: '1/0'"),
+    (["betti", "oracle", "--gens", "1/0*x1"], "zero denominator in polynomial: '1/0*x1'"),
+    (["colon", "--degrees", "3,3", "--ell-power", "2", "--f", "1/0*x1"],
+     "zero denominator in polynomial: '1/0*x1'"),
+    (["betti", "oracle", "--gens", "1/65521*x1", "--field", "65521"],
+     "denominator divisible by 65521 in polynomial: '1/65521*x1'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_zero_denominator_is_refused(argv, error, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("field, error", [
+    ("4", "4 is not prime"),
+    ("prime:2147483659", "prime moduli must be < 2**31"),
+    ("bogus", "cannot parse field spec 'bogus'"),
+])
+def test_a_bad_field_spec_says_why(field, error, capsys):
+    argv = ["betti", "formula", "aci", "--degrees", "3,3", "--ell-power", "2", "--field", field]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_check_generic_level_needs_a_draw(capsys):
     argv = ["check", "generic-level", "--nvars", "2", "--degrees", "2,2,2", "--seed", "0"]
     assert main(argv + ["--draws", "0"]) == 1

@@ -301,7 +301,7 @@ def _eliminated_rank(rows, ncols, field):
     # Fraction reference
     if field == QQ:
         return len(_rref_reference(np.asarray(rows).tolist())[0])
-    return len(_eliminate(field.array(rows, ncols), field, full=False))
+    return len(_eliminate(field.array(rows, ncols), field, full=False)[1])
 
 
 def _echelon(rng, nrows, ncols, density):
@@ -474,16 +474,39 @@ def test_rows_past_the_int64_bound_take_python_ints(monkeypatch):
         monkeypatch.undo()
 
 
-def test_entries_that_grow_past_the_int64_bound_restart_on_python_ints(monkeypatch):
-    # the cleared rows start below 2**31, so int64 is tried first; the first
-    # pivot step makes products near 2**60 and the call restarts
+def test_entries_that_grow_past_the_int64_bound_widen_in_place(monkeypatch):
+    # the cleared rows start below 2**31, so the elimination enters in int64;
+    # the first pivot step makes products near 2**60 and carries on in Python
+    # ints within the same call
     rows = np.random.default_rng(5).integers(2**30, 2**31, (6, 6)).tolist()
     for run in (lambda: rank_of_rows(rows, 6, QQ), lambda: RowBasis.from_rows(rows, 6, QQ)):
         eliminated = _dtypes(monkeypatch, "_eliminate", 0)
         run()
-        assert eliminated == [np.dtype(np.int64), np.dtype(object)]
+        assert eliminated == [np.dtype(np.int64)]
         monkeypatch.undo()
     _assert_reduces_like_the_reference(rows, 6, 3)
+
+
+def test_a_schur_complement_past_the_int64_bound_is_ranked_on_python_ints(monkeypatch):
+    # a sparse matrix of int64 numerators just below 2**31: the exact Schur
+    # complement passes the bound, and the next level ranks its Python ints
+    rng = np.random.default_rng(24)
+    a = rng.integers(2**30, 2**31, (12, 16)) * (rng.random((12, 16)) < 0.3)
+    rows = a.tolist()
+    ranked, schur = _dtypes(monkeypatch, "_rank", 2), []
+
+    def spy(g, k, field):
+        s = exact_schur(g, k, field)
+        schur.append((g.dtype, s.dtype))
+        return s
+
+    exact_schur = exactalg._exact_schur_complement
+    monkeypatch.setattr(exactalg, "_exact_schur_complement", spy)
+    assert rank_of_rows(rows, 16, QQ) == len(_rref_reference(rows)[0])
+    # `_rank` enters in int64 once; the complement moves to Python ints
+    # within its own call, and every level below ranks those
+    assert ranked[0] == schur[0][0] == np.dtype(np.int64)
+    assert schur[0][1] == ranked[1] == np.dtype(object) and np.dtype(np.int64) not in ranked[1:]
 
 
 def test_small_rationals_stay_on_int64(monkeypatch):
@@ -565,8 +588,8 @@ def test_schur_complement_on_a_sparse_t(k):
 
 
 def test_schur_complement_where_b_meets_few_pivot_rows():
-    # only the columns of Y that meet B, and the columns they read, are
-    # solved: on a chain with B in row 120, columns 0..120
+    # only the columns of Y that meet B reach S: on a chain with B in row
+    # 120, column 120 alone
     t = np.diag(np.arange(1, 201)) + np.diag(np.full(199, 7), 1)
     for field in SCHUR_FIELDS:
         _schur_matches_exact(field, t, 15, 9, seed=6, b_rows=[120])
@@ -600,7 +623,7 @@ def test_row_blocks_of_one_row_change_nothing(monkeypatch):
     for field in SCHUR_FIELDS:
         whole = _schur_matches_exact(field, t, 23, 14, seed=8)
         ranks = [rank_of_rows(a, 100, field) for a in mats]
-        assert ranks == [len(_eliminate(field.array(a, 100), field, full=False)) for a in mats]
+        assert ranks == [len(_eliminate(field.array(a, 100), field, full=False)[1]) for a in mats]
         monkeypatch.setattr(exactalg, "_SCHUR_CELLS", 1)
         rowwise = _schur_matches_exact(field, t, 23, 14, seed=8)
         assert [x.tolist() for x in rowwise] == [x.tolist() for x in whole]
@@ -609,8 +632,8 @@ def test_row_blocks_of_one_row_change_nothing(monkeypatch):
 
 
 def test_row_blocks_stay_within_the_cell_bound(monkeypatch):
-    # B meets every row of a chain T, so all k columns of Y are kept (m = k):
-    # a dense block of Y or S has at most `_SCHUR_CELLS` // max(m, nother) rows
+    # a dense block of Y or S has at most `_SCHUR_CELLS` // max(k, nother)
+    # rows
     k, nother, cells = 300, 6, 3000
     t = np.diag(np.arange(1, k + 1)) + np.diag(np.full(k - 1, -3), 1)
     heights = []
