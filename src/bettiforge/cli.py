@@ -223,7 +223,7 @@ def _print_ideal(quot, fmt):
 def _cmd_colon(args):
     field = field_from_spec(args.field)
     ds = _degree_sequence(args)
-    if args.f:
+    if args.f is not None:
         f = parse_polynomial(args.f, nvars=ds.nvars, field=field)
         quot = colon_ideal(power_ideal(ds.degrees, ds.ell_power, field), f)
     else:
@@ -261,7 +261,7 @@ def _cmd_lefschetz(args):
     else:
         source = power_ideal(ds.degrees, ds.ell_power, field)
     ell = None
-    if args.ell:
+    if args.ell is not None:
         ell = parse_polynomial(args.ell, nvars=ds.nvars, field=field)
     report = lefschetz_check(source, ell=ell, mode=args.mode)
     if args.format == "json":

@@ -46,6 +46,14 @@ mod p (`_limbs`, `_sub_mod`).  Over QQ, S is formed by `_eliminate` run over
 the k pivot columns only of the block matrix filled densely, on the integers,
 up to row scaling, under the int64 bound above.  The input is never modified.
 
+The reduced row echelon form of `SparseRows` over GF(p) (`_rref`, for
+`Accumulator.absorb`) takes the same road, on the rows.  The leading column
+of a structural pivot row is a pivot: that row is zero before it, so no
+earlier columns span it.  The other rows lead inside those columns, so the
+other pivots are those of S, reduced recursively, and the pivot rows' tails
+take one triangular solve by T's level schedule.  Dense arrays, QQ and any
+level more than half full stay on `_eliminate`.
+
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
 `rank_of_rows` for ranks of dense rows or of `SparseRows` (a matrix given by
@@ -521,6 +529,16 @@ def _level_schedule(i, j, v, k):
     return steps
 
 
+def _solve(y, steps, p):
+    """Y T = Y0 in place for the float64 residues y = Y0, by T's level schedule
+    `steps` (`_level_schedule`), skipping the steps that read only zeros."""
+    for cols, rows, block in steps:
+        x = y[:, rows]
+        if x.any():
+            y[:, cols] = _sub_mod(y[:, cols], x, block, p)
+    return y
+
+
 def _schur_complement(vals, i, j, k, nrest, nother, p):
     """S = C - Y0 T^-1 B mod p, as coordinates: the nonzero int64 residues of
     S with their rows and columns, sorted by (row, column), for the matrix
@@ -570,10 +588,7 @@ def _schur_complement(vals, i, j, k, nrest, nother, p):
         mine = (yi >= r) & (yi < e)
         y = np.zeros((e - r, k), order="F")
         y[yi[mine] - r, yj[mine]] = yv[mine]
-        for cols, rows, block in steps:
-            x = y[:, rows]
-            if x.any():
-                y[:, cols] = _sub_mod(y[:, cols], x, block, p)
+        _solve(y, steps, p)
         inner = np.flatnonzero(y.any(axis=0) & meets_b)
         # keep only the nonzero columns of Y that meet B, compacted in place:
         # inner[n] >= n, so a block is written only over columns no later
@@ -741,6 +756,57 @@ def _reduced(a, field):
     return pivots, field.pivot_rows(b[:len(pivots)], pivots)
 
 
+def _rref(rows, cols, vals, nrows, ncols, field):
+    """The ascending pivot columns of the reduced row echelon form of the
+    nrows x ncols matrix with the nonzero field elements `vals` at (`rows`,
+    `cols`), sorted by (row, column), and its tails: each reduced row on the
+    other columns, in order.  Over GF(p): the leading columns L of the
+    structural pivot rows T, the pivots P_S of S = C - Y0 T^-1 B with its
+    reduced rows R_S, and the pivot rows' tails X from T X = B - B[:, P_S] R_S.
+    QQ, and a matrix more than half full, go to `_eliminate`.
+    """
+    if not vals.size:
+        return np.zeros(0, np.int64), field.zeros((0, ncols))
+    p = field.characteristic
+    if not p or 2 * vals.size > nrows * ncols:
+        a = field.zeros((nrows, ncols))
+        a[rows, cols] = vals
+        pivots, reduced = _reduced(a, field)
+        return np.array(pivots, np.int64), np.delete(reduced, pivots, axis=1)
+    # every row divided by its leading entry, which makes T unit upper triangular
+    first = _starts(rows)
+    heads = vals[first].tolist()
+    inverse = {x: pow(x, -1, p) for x in set(heads)}
+    vals = vals * np.array([inverse[x] for x in heads])[np.cumsum(first) - 1] % p
+    piv, lead, rest = _structural_pivots(rows, cols)
+    k, other = lead.size, np.delete(np.arange(ncols), lead)
+    if not other.size:
+        return lead, field.zeros((k, 0))
+    # a rest row with one nonzero is a multiple of the pivot row at its lead,
+    # the sparsest row there, and reduces to zero
+    rest = rest[np.bincount(rows)[rest] > 1]
+    nrest = rest.size
+    row_at = np.full(nrows, -1)
+    row_at[np.concatenate([piv, rest])] = np.arange(k + nrest)
+    col_at = np.empty(ncols, np.int64)
+    col_at[np.concatenate([lead, other])] = np.arange(ncols)
+    keep = row_at[rows] >= 0
+    i, j, vals = row_at[rows[keep]], col_at[cols[keep]], vals[keep]
+    schur = (_schur_complement(vals, i, j, k, nrest, other.size, p) if nrest
+             else (np.zeros(0, np.int64),) * 3)
+    sp, stails = _rref(*schur, nrest, other.size, field)
+    b, t = (i < k) & (j >= k), (j < k) & (i < j)
+    rhs = np.zeros((k, other.size), np.int64)
+    rhs[i[b], j[b] - k] = vals[b]
+    rhs = field.sub_matmul(rhs[:, np.delete(np.arange(other.size), sp)], rhs[:, sp], stails)
+    # T X = rhs as Y T~ = rhs^T J for Y = X^T J, J the index reversal
+    steps = _level_schedule(k - 1 - j[t], k - 1 - i[t], _limbs(vals[t], p, k), k)
+    x = _solve(np.asfortranarray(rhs[::-1].T, dtype=np.float64), steps, p)[:, ::-1].T
+    pivots = np.concatenate([lead, other[sp]])
+    order = np.argsort(pivots)
+    return pivots[order], np.concatenate([x.astype(np.int64), stails])[order]
+
+
 # ---------------------------------------------------------------------------
 # reduced row bases
 
@@ -822,22 +888,21 @@ class Accumulator(RowBasis):
         super().__init__(ncols, field, (), range(ncols), field.zeros((0, ncols)))
 
     def absorb(self, rows):
-        """Add the span of `rows` (a block, one row per vector); return the
-        number of new pivots, or None if the block adds none."""
-        fld = self.field
-        a = fld.array(rows, self.ncols)
-        support = list(self.support)
-        block = fld.sub_matmul(a[:, support], a[:, list(self.pivots)], self.tails)
-        new, block = _reduced(block, fld)
-        if not new:
-            return None
-        fld.sub_matmul(self.tails, self.tails[:, new], block)
-        pivots = list(self.pivots) + [support[q] for q in new]
-        order = np.argsort(pivots, kind="stable")
-        new_set = set(new)
-        keep = [k for k in range(len(support)) if k not in new_set]
-        self.pivots = tuple(pivots[k] for k in order)
-        self.support = tuple(support[k] for k in keep)
-        self.tails = np.concatenate([self.tails[:, keep], block[:, keep]])[order]
-        return len(new)
+        """Add the span of `rows` (a block, one row per vector, or `SparseRows`
+        of field elements); return the number of new pivots, or None if the
+        block adds none.  `SparseRows` and the basis so far are reduced
+        together from their coordinates (`_rref`), a block and the basis by
+        `_eliminate`."""
+        fld, old = self.field, self.full_rows()
+        if isinstance(rows, SparseRows):
+            both = zip(_coordinates(old), (rows.rows + self.dim, rows.cols, rows.vals))
+            pivots, tails = _rref(*map(np.concatenate, both), self.dim + len(rows), self.ncols, fld)
+        else:
+            pivots, reduced = _reduced(np.concatenate([old, fld.array(rows, self.ncols)]), fld)
+            tails = np.delete(reduced, pivots, axis=1)
+        new = len(pivots) - self.dim
+        if new:
+            self.pivots, self.tails = tuple(np.asarray(pivots).tolist()), tails
+            self.support = tuple(np.delete(np.arange(self.ncols), pivots).tolist())
+        return new or None
 

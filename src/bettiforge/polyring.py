@@ -411,11 +411,11 @@ def parse_polynomial(text, nvars=None, field=QQ):
     sign = 1
     coeff = None
     expo = {}
+    pending = None  # the operator still waiting for a factor: "*" or a sign
+    malformed = PreconditionError(f"malformed polynomial: {text!r}")
 
     def flush():
         nonlocal sign, coeff, expo
-        if coeff is None and not expo:
-            raise PreconditionError(f"malformed polynomial: {text!r}")
         terms.append((sign, Fraction(coeff if coeff is not None else 1), dict(expo)))
         sign, coeff, expo = 1, None, {}
 
@@ -429,6 +429,10 @@ def parse_polynomial(text, nvars=None, field=QQ):
         pos = m.end()
         if m.group("op"):
             op = m.group("op")
+            # "*" joins two factors of one term; a sign may follow a sign
+            if pending == "*" or op == "*" and coeff is None and not expo:
+                raise malformed
+            pending = op
             if op == "*":
                 continue
             if coeff is not None or expo:
@@ -436,6 +440,7 @@ def parse_polynomial(text, nvars=None, field=QQ):
             if op == "-":
                 sign = -sign
             continue
+        pending = None
         if m.group("num"):
             try:
                 value = Fraction(m.group("num"))
@@ -448,6 +453,8 @@ def parse_polynomial(text, nvars=None, field=QQ):
                 raise PreconditionError("variables are x1, x2, ...")
             power = int(m.group("pow") or 1)
             expo[var] = expo.get(var, 0) + power
+    if pending:
+        raise malformed
     if coeff is not None or expo:
         flush()
     if not terms:

@@ -226,20 +226,6 @@ def quotient_model(source):
     return source if isinstance(source, GradedQuotient) else ideal_slices(source)
 
 
-def _shifted_coordinates(prev, shift, coord, width):
-    """Rows x_v * b for the basis rows b of `prev`, as `width` coordinates:
-    the entry at column c goes to position coord[c], or nowhere if that is -1.
-    `shift` maps prev's columns to the columns of x_v times them."""
-    out = prev.field.zeros((prev.dim, width))
-    at = coord[shift[list(prev.pivots)]]
-    hit = np.flatnonzero(at >= 0)
-    out[hit, at[hit]] = prev.field.one
-    at = coord[shift[list(prev.support)]]
-    hit = np.flatnonzero(at >= 0)
-    out[:, at[hit]] = prev.tails[:, hit]
-    return out
-
-
 def minimal_generators(ideal):
     """Degreewise bases of I_j modulo R_1 * I_{j-1}; their count per degree is beta_{1,j}.
 
@@ -247,7 +233,10 @@ def minimal_generators(ideal):
     the rows before it.  Written in the coordinates of I_j's reduced basis (a
     vector's entries at the pivot columns) in reverse order, so that row k is
     coordinate dim - 1 - k, that holds exactly when dim - 1 - k is not a pivot
-    of R_1 * I_{j-1}, whose shifted rows are absorbed one variable at a time.
+    of R_1 * I_{j-1}.  Its spanning rows x_v * b, for every variable x_v and
+    every basis row b of I_{j-1}, hold about one nonzero each, so they go to
+    one `Accumulator.absorb` per degree as `SparseRows` in those coordinates,
+    which over GF(p) reduces them without a dense block.
     """
     nvars, field = ideal.nvars, ideal.field
     out = []
@@ -260,11 +249,18 @@ def minimal_generators(ideal):
         if prev is not None and prev.dim:
             coord = np.full(base.ncols, -1)
             coord[list(base.pivots)] = np.arange(base.dim)[::-1]
-            for v in range(nvars):
-                if spanned.codim == 0:
-                    break
-                shift = variable_shift_map(nvars, j - 1, v)
-                spanned.absorb(_shifted_coordinates(prev, shift, coord, base.dim))
+            # prev's basis rows as coordinates: 1 at each pivot, then the tails
+            r, s = np.nonzero(prev.tails.astype(bool))
+            rows = np.concatenate([np.arange(prev.dim), r])
+            cols = np.concatenate([prev.pivots, np.array(prev.support, np.int64)[s]])
+            vals = np.concatenate([np.full(prev.dim, field.one), prev.tails[r, s]])
+            # shifted by each variable; what lands off I_j's pivots is no coordinate
+            shifts = product_positions(exponent_array(nvars, j - 1), np.eye(nvars, dtype=np.int64))
+            at = coord[shifts[cols]]
+            e, v = np.nonzero(at >= 0)
+            rows, cols = v * prev.dim + rows[e], at[e, v]
+            order = np.lexsort((cols, rows))
+            spanned.absorb(SparseRows(nvars * prev.dim, rows[order], cols[order], vals[e][order]))
         new = [base.dim - 1 - c for c in reversed(spanned.support)]
         gens = RowBasis(base.ncols, field, [base.pivots[k] for k in new], base.support,
                         base.tails[new])

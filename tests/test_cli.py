@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +268,20 @@ def test_oracle_takes_empty_gens_as_given(capsys):
     assert capsys.readouterr() == ("", "error: empty polynomial: ''\n")
 
 
+@pytest.mark.parametrize("argv", [["colon", "--degrees", "3,3", "--ell-power", "2", "--f="],
+                                  ["lefschetz", "--degrees", "2,2", "--ell="]], ids=" ".join)
+def test_an_empty_f_or_ell_is_taken_as_given(argv, capsys):
+    # likewise an empty --f or --ell: not the link by ell^e, nor the default ell
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: empty polynomial: ''\n")
+
+
+@pytest.mark.parametrize("f", ["x1+", "x1-", "x1*", "*x1", "x1**x2", "x1*-x2", "+"])
+def test_a_dangling_operator_is_refused(f, capsys):
+    assert main(["colon", "--degrees", "3,3", "--ell-power", "2", f"--f={f}"]) == 1
+    assert capsys.readouterr() == ("", f"error: malformed polynomial: {f!r}\n")
+
+
 @pytest.mark.parametrize("argv, error", [
     (["annihilator", "--form", "1/0"], "zero denominator in polynomial: '1/0'"),
     (["betti", "oracle", "--gens", "1/0*x1"], "zero denominator in polynomial: '1/0*x1'"),
@@ -377,6 +392,8 @@ GOLDEN = [
     (["esym", "gens", "--nvars", "5", "--d", "2"], ESYM_5_2),
     (["lefschetz", "--colon", "--degrees", "3,3,3", "--ell-power", "2", "--format", "json"],
      LEFSCHETZ_333_2),
+    (["colon", "--degrees", "3,3,3,3,3,3", "--ell-power", "4", "--format", "json"],
+     (Path(__file__).parent / "golden" / "colon-3x6-e4.json").read_text()),
 ]
 
 

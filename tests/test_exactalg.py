@@ -775,3 +775,79 @@ def test_mod_is_exact_up_to_the_bound(args):
     p, xs = args
     xs += [p - 2**53, 2**53 - p, -p, p, 0]
     assert _mod(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]
+
+
+def _sparse(dense):
+    """The field array `dense` as `SparseRows`."""
+    rows, cols = np.nonzero(dense.astype(bool))
+    return SparseRows(len(dense), rows, cols, dense[rows, cols])
+
+
+def _stacked(rng, k, m, density, below):
+    """Pivot rows [T | B], T k x k unit upper triangular, then one row per
+    row of `below` (m columns): a nonzero mix of the pivot rows plus that row
+    on the other m columns, so that their Schur complement is `below`."""
+    t = np.triu(rng.integers(-3, 4, (k, k)) * (rng.random((k, k)) < density), 1) + np.eye(k, dtype=np.int64)
+    top = np.hstack([t, rng.integers(-3, 4, (k, m)) * (rng.random((k, m)) < density)])
+    mix = rng.integers(1, 4, (len(below), k)) * (rng.random((len(below), k)) < 0.1)
+    mix[np.arange(len(below)), rng.integers(0, k, len(below))] = 1
+    return np.vstack([top, mix @ top + np.hstack([np.zeros((len(below), k), np.int64), below])])
+
+
+@st.composite
+def stacked_matrices(draw):
+    """`_stacked` pivot rows over a small `below`, itself stacked at times, so
+    that the reduced row echelon form recurses one or two levels; the rows
+    are scaled and shuffled, and at times the columns too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, m, r = draw(st.integers(2, 12)), draw(st.integers(1, 8)), draw(st.integers(0, 5))
+    below = rng.integers(-2, 3, (r, m))
+    if m > 2 and draw(st.booleans()):
+        below = _stacked(rng, m // 2, m - m // 2, 0.3, rng.integers(-2, 3, (len(below), m - m // 2)))
+    a = _stacked(rng, k, m, 0.2, below)
+    a = (a * rng.choice([-3, -1, 2, 3], (len(a), 1)))[rng.permutation(len(a))]
+    return a[:, rng.permutation(k + m)] if draw(st.booleans()) else a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(branch_matrices(), full_matrices, stacked_matrices()), st.integers(0, 10))
+@example(np.zeros((0, 3), dtype=np.int64), 0)  # an empty block
+@example(np.zeros((4, 5), dtype=np.int64), 2)  # zero rows
+def test_sparse_absorb_matches_from_rows(a, cut):
+    # the first `cut` rows go in as a dense block, so that the sparse block
+    # meets a basis that is not empty whenever they have rank; stacked
+    # matrices reach the Schur recursion and the solve of the tails
+    ncols = a.shape[1]
+    for field in FIELDS:
+        dense = field.array(a, ncols)
+        acc = Accumulator(ncols, field)
+        acc.absorb(dense[:cut])
+        before = acc.dim
+        added = acc.absorb(_sparse(dense[cut:]))
+        want = RowBasis.from_rows(a, ncols, field)
+        assert added == (want.dim - before or None)
+        assert acc.pivots == want.pivots and acc.support == want.support
+        assert acc.tails.tolist() == want.tails.tolist()
+
+
+def test_sparse_rref_recurses_falls_back_and_solves(monkeypatch):
+    # two Schur levels, the second more than half full: the recursion, the
+    # dense fallback and the triangular solve of the tails each run
+    rng = np.random.default_rng(26)
+    a = _stacked(rng, 30, 20, 0.08, _stacked(rng, 12, 8, 0.15, rng.integers(1, 5, (6, 8))))
+    for field in SCHUR_FIELDS:
+        levels, dense, solves = [], [], []
+        real_rref, real_eliminate, real_solve = exactalg._rref, exactalg._eliminate, exactalg._solve
+        monkeypatch.setattr(exactalg, "_rref", lambda *args: levels.append(args[3:5]) or real_rref(*args))
+        monkeypatch.setattr(exactalg, "_eliminate",
+                            lambda a, *args, **kw: dense.append(a.shape) or real_eliminate(a, *args, **kw))
+        monkeypatch.setattr(exactalg, "_solve",
+                            lambda y, steps, p: solves.append((y.shape, len(steps))) or real_solve(y, steps, p))
+        acc = Accumulator(50, field)
+        acc.absorb(_sparse(field.array(a, 50)))
+        monkeypatch.undo()
+        assert levels == [(48, 50), (18, 20), (6, 8)] and dense == [(6, 8)]
+        # the tails of both upper levels are solved, each through a level step
+        assert [(shape[1], steps > 0) for shape, steps in solves[-2:]] == [(12, True), (30, True)]
+        want = RowBasis.from_rows(a, 50, field)
+        assert acc.pivots == want.pivots and acc.tails.tolist() == want.tails.tolist()

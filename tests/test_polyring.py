@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,19 @@ def test_parse_rejects_inhomogeneous_when_required():
         parse_polynomial("x1^2 + x2")
     with pytest.raises(PreconditionError):
         parse_polynomial("x1 + + ^")
+
+
+@pytest.mark.parametrize("text", ["x1+", "x1-", "x1*", "*x1", "x1**x2", "x1*-x2", "+", "-"])
+def test_parse_refuses_a_dangling_operator(text):
+    with pytest.raises(PreconditionError, match=f"^malformed polynomial: {re.escape(repr(text))}$"):
+        parse_polynomial(text, nvars=2)
+
+
+@pytest.mark.parametrize("text, want", [("-x1 + x2", "-x1 + x2"), ("+x1", "x1"),
+                                        ("x1+-x2", "x1 - x2"), ("x1 x2", "x1*x2"),
+                                        ("- -2*x1*x2", "2*x1*x2")])
+def test_parse_keeps_signs_and_juxtaposition(text, want):
+    assert format_polynomial(parse_polynomial(text, nvars=2)) == want
 
 
 def test_parse_prime_field():

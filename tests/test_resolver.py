@@ -379,9 +379,8 @@ def test_minimal_generators_match_the_greedy_reference(field_key, degrees, e, f)
     assert minimal_generators(col) == _greedy_generators_reference(col)
 
 
-@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
-def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
-    for ds in odd_parity_sweep([2, 3]):
+def _assert_generator_counts_match_beta1(nvals, kind):
+    for ds in odd_parity_sweep(nvals):
         if kind == "aci":
             slices = ideal_slices(power_ideal(ds.degrees, ds.ell_power, GF_DEFAULT))
         else:
@@ -392,6 +391,30 @@ def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
             counts[d] = counts.get(d, 0) + 1
         table = oracle_table(ds.nvars, ds.degrees, ds.ell_power, kind)
         assert counts == table.column(1), (ds, kind)
+
+
+@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
+def test_generator_counts_match_oracle_beta1_on_the_sweep(kind):
+    _assert_generator_counts_match_beta1([2, 3, 4], kind)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["aci", "gorenstein"])
+def test_generator_counts_match_oracle_beta1_at_five_variables(kind):
+    _assert_generator_counts_match_beta1([5], kind)
+
+
+@pytest.mark.parametrize("field", [GF_DEFAULT, QQ], ids=repr)
+def test_minimal_generators_absorb_one_sparse_block_per_degree(field, monkeypatch):
+    # the shifts R_1 * I_{j-1} reach `absorb` as one SparseRows per degree j,
+    # in the coordinates of I_j, and never as a dense block
+    col = linked_ideal(DegreeSequence(4, (4, 4, 3, 3), 3), field)
+    seen, absorb = [], exactalg.Accumulator.absorb
+    monkeypatch.setattr(exactalg.Accumulator, "absorb",
+                        lambda self, rows: seen.append((self.ncols, type(rows))) or absorb(self, rows))
+    minimal_generators(col)
+    degrees = [j for j in range(1, col.bound + 1) if col.dim(j) and col.dim(j - 1)]
+    assert len(degrees) > 3 and seen == [(col.dim(j), SparseRows) for j in degrees]
 
 
 def test_float_and_exact_rank_kernels_agree_on_koszul_matrices(monkeypatch):
