@@ -42,7 +42,8 @@ class NonArtinianError(PreconditionError):
 
 
 class UnitIdealError(PreconditionError):
-    """A colon ideal turned out to be the unit ideal (dual generator vanished)."""
+    """The ideal is the unit ideal, so R/I = 0: generators with a nonzero
+    constant, or a colon ideal whose dual generator vanished."""
 
 
 class RetryExhausted(BettiForgeError):

@@ -6,19 +6,21 @@ arithmetic.  A field object supplies only `coerce` (a number into that form)
 and `inv` as scalar operations, next to the few array operations the kernels
 need (`zeros`, `array`, `reduce`, `sub_matmul`) and the elimination steps
 (`numerators`, `pivot_step`, `pivot_rows`).  GF(p), p < 2**31 prime, keeps
-residues in [0, p) in int64 arrays, and sums products of them exactly in
-float64 by `_sub_mod`; QQ keeps normalized Fraction entries in object
-arrays.  One elimination routine, `_eliminate`, serves both fields, and every
-structure here is built on it.  Over QQ it does no Fraction arithmetic: each
-row is first scaled to integers (which changes neither the rank nor the
-reduced row echelon form), eliminated fraction-free with each row's content
-divided out after each step, and divided by its pivot only where a reduced
-basis is handed out.  The integers are int64 while every entry stays below
-`_INT64_BOUND` = 2**31 in absolute value, so that each update
-piv·x − y·z stays below 2·(2**31 − 1)**2 < 2**63; one max checks the bound
-after every step, and where it fails, that step is redone on a copy of the
-array in Python ints, which carries the rest of the elimination: the int64
-steps before it are kept.
+residues in [0, p) in int64 arrays, and its `sub_matmul` is one product of
+the whole operands, exact in float64 (`_sub_mod`); QQ keeps normalized
+Fraction entries in object arrays, and its `sub_matmul`, a Fraction multiply
+per product, touches the operands' nonzero lines only.  One elimination
+routine, `_eliminate`, serves both fields, and every structure here is built
+on it.  Over QQ it does no Fraction arithmetic: each row is first scaled to
+integers (which changes neither the rank nor the reduced row echelon form),
+eliminated fraction-free with each row's content divided out after each
+step, and divided by its pivot only where a reduced basis is handed out.
+The integers are int64 while every entry stays below `_INT64_BOUND` = 2**31
+in absolute value, so that each update piv·x − y·z stays below
+2·(2**31 − 1)**2 < 2**63; one max checks the bound after every step, and
+where it fails, that step is redone on a copy of the array in Python ints,
+which carries the rest of the elimination: the int64 steps before it are
+kept.
 
 Ranks take a shorter road first (after Faugère–Lachartre, PASCO 2010), and
 work on a matrix's nonzero coordinates.  Each nonzero row has a leading
@@ -51,8 +53,9 @@ The reduced row echelon form of `SparseRows` over GF(p) (`_rref`, for
 of a structural pivot row is a pivot: that row is zero before it, so no
 earlier columns span it.  The other rows lead inside those columns, so the
 other pivots are those of S, reduced recursively, and the pivot rows' tails
-take one triangular solve by T's level schedule.  Dense arrays, QQ and any
-level more than half full stay on `_eliminate`.
+take one triangular solve by T's level schedule.  `absorb` takes
+`SparseRows` only; QQ and any level more than half full stay on
+`_eliminate`.
 
 The public surface: the field classes (`PrimeField`, `RationalField`, the
 instances `QQ`, `GF_DEFAULT`, `GF_PARANOIA`, and `field_from_spec`),
@@ -99,23 +102,12 @@ def _is_prime(p):
 
 
 class _ArrayField:
-    """The array operations both fields share; each field supplies `dtype`,
-    `zero`, `reduce` and `sub_dense`."""
+    """The array constructor both fields share; each field supplies `dtype`,
+    `zero`, `reduce` and its own `sub_matmul`: one whole-operand BLAS product
+    over GF(p), the nonzero lines only over QQ."""
 
     def zeros(self, shape):
         return np.full(shape, self.zero, dtype=self.dtype)
-
-    def sub_matmul(self, c, a, b):
-        """Set c to the reduced c - a @ b in place and return it.
-
-        Only the inner indices where a's column and b's row both have a
-        nonzero, and the columns of c those rows of b reach, are touched, so
-        sparse operands cost what their nonzero parts cost.
-        """
-        inner = np.flatnonzero((np.count_nonzero(a, axis=0) > 0) & (np.count_nonzero(b, axis=1) > 0))
-        cols = np.flatnonzero(np.count_nonzero(b[inner], axis=0))
-        c[:, cols] = self.sub_dense(c[:, cols], a[:, inner], b[np.ix_(inner, cols)])
-        return c
 
 
 class RationalField(_ArrayField):
@@ -158,8 +150,14 @@ class RationalField(_ArrayField):
     def reduce(self, a):
         return a
 
-    def sub_dense(self, c, a, b):
-        return c - a @ b
+    def sub_matmul(self, c, a, b):
+        """Set c to c - a @ b in place and return it.  Each product is a
+        Fraction multiply, so only the inner indices where a's column and b's
+        row both have a nonzero, and the columns of c those rows reach, count."""
+        inner = np.flatnonzero((np.count_nonzero(a, axis=0) > 0) & (np.count_nonzero(b, axis=1) > 0))
+        cols = np.flatnonzero(np.count_nonzero(b[inner], axis=0))
+        c[:, cols] -= a[:, inner] @ b[np.ix_(inner, cols)]
+        return c
 
     def numerators(self, rows, vals):
         """The nonzero rationals `vals` in the sorted `rows` as integers: each
@@ -283,11 +281,13 @@ class PrimeField(_ArrayField):
     def reduce(self, a):
         return a % self.p
 
-    def sub_dense(self, c, a, b):
-        """(c - a @ b) mod p for int64 residues, exact in float64 (`_sub_mod`)."""
+    def sub_matmul(self, c, a, b):
+        """Set the int64 residues c to (c - a @ b) mod p in place and return
+        it: one product of the whole operands, exact in float64 (`_sub_mod`,
+        with b split into limbs past `_limbs`' bound)."""
         p = self.p
-        out = _sub_mod(c.astype(np.float64), a.astype(np.float64), _limbs(b, p, a.shape[1]), p)
-        return out.astype(np.int64)
+        c[...] = _sub_mod(c.astype(np.float64), a.astype(np.float64), _limbs(b, p, a.shape[1]), p)
+        return c
 
     def numerators(self, rows, vals):
         """Residues need no scaling: `vals` as they are."""
@@ -718,24 +718,18 @@ def _rank(rows, cols, vals, nrows, ncols, field):
 
 
 def rank_of_rows(rows, ncols, field):
-    """Rank of a stack of coefficient rows: `SparseRows`, an array, or a list
-    of rows.
+    """Rank of a stack of coefficient rows, never modified: `SparseRows`, an
+    array, or a list of rows.
 
-    `rows` is never modified.  `SparseRows` are ranked from their coordinates
-    as they are.  An int64 array already reduced into [0, p) is read in
-    place, anything else goes through `field.array` first, and either is
-    scanned once for its coordinates.  Over QQ each row is then scaled to
-    integers (`RationalField.numerators`), int64 first, Python ints where
-    int64 would pass its bound.  The rank is k, the number of structural
-    pivots, plus the rank of their Schur complement: in float64 over every
-    GF(p), with one product per block where k·(p−1)² + p <= 2⁵³ and past that
-    bound (always for GF(1073741789)) the second factor split into 15-bit
-    limbs, reduced every t terms with t·(p−1)·(2¹⁵−1) + 2p <= 2⁵³; by
-    `_eliminate` over QQ.  Over GF(p) only one row block of the Schur
-    complement, and one of the solve that feeds it, is ever dense, at most
-    2¹⁸ cells each; the complement is ranked from its coordinates.  A matrix
-    more than half full comes from `_eliminate`, unless the structural pivots
-    already account for every nonzero line or column.
+    `SparseRows` are ranked from their coordinates as they are.  An int64
+    array already reduced into [0, p) is read in place, anything else goes
+    through `field.array` first, and either is scanned once for its
+    coordinates; over QQ each row is then scaled to integers
+    (`RationalField.numerators`).  The rank is k, the number of structural
+    pivots, plus the rank of their Schur complement (`_rank`): exact in
+    float64 over every GF(p), one product where k·(p−1)² + p <= 2⁵³, else
+    15-bit limbs (`_sub_mod`), with at most 2¹⁸ cells dense per block; by
+    `_eliminate` over QQ.
     """
     nrows = len(rows)
     if isinstance(rows, SparseRows):
@@ -816,30 +810,29 @@ class RowBasis:
 
     Every basis row equals 1 at its own pivot column, 0 at all other pivot
     columns, and is otherwise supported on the complementary ("support")
-    columns; `tails` holds exactly that complementary part, one row per pivot.
-    Reduction of any vector therefore leaves a residual supported on the
-    support columns, which doubles as the coordinate vector in the quotient.
+    columns, derived from the ascending `pivots`; `tails` holds exactly that
+    part, one row per pivot.  Reduction of any vector therefore leaves a
+    residual on the support columns, the coordinate vector in the quotient.
     """
 
     __slots__ = ("ncols", "field", "pivots", "support", "tails")
 
-    def __init__(self, ncols, field, pivots, support, tails):
+    def __init__(self, ncols, field, pivots, tails):
+        pivots = np.asarray(pivots, np.int64)
         self.ncols = ncols
         self.field = field
-        self.pivots = tuple(pivots)
-        self.support = tuple(support)
+        self.pivots = tuple(pivots.tolist())
+        self.support = tuple(np.delete(np.arange(ncols), pivots).tolist())
         self.tails = tails
 
     @classmethod
     def from_rows(cls, rows, ncols, field):
         pivots, reduced = _reduced(field.array(rows, ncols), field)
-        pivot_set = set(pivots)
-        support = [c for c in range(ncols) if c not in pivot_set]
-        return cls(ncols, field, pivots, support, reduced[:, support])
+        return cls(ncols, field, pivots, np.delete(reduced, pivots, axis=1))
 
     @classmethod
     def full(cls, ncols, field):
-        return cls(ncols, field, range(ncols), (), field.zeros((ncols, 0)))
+        return cls(ncols, field, np.arange(ncols), field.zeros((ncols, 0)))
 
     @property
     def dim(self):
@@ -878,31 +871,23 @@ class RowBasis:
 
 
 class Accumulator(RowBasis):
-    """A RowBasis that grows: absorbs blocks of rows, keeping the fully reduced
-    basis of their span (sorted pivots, support and tails) that
+    """A RowBasis that grows: absorbs blocks of `SparseRows`, keeping the fully
+    reduced basis of their span (sorted pivots and tails) that
     `RowBasis.from_rows` would give on all rows absorbed so far."""
 
     __slots__ = ()
 
     def __init__(self, ncols, field):
-        super().__init__(ncols, field, (), range(ncols), field.zeros((0, ncols)))
+        super().__init__(ncols, field, (), field.zeros((0, ncols)))
 
     def absorb(self, rows):
-        """Add the span of `rows` (a block, one row per vector, or `SparseRows`
-        of field elements); return the number of new pivots, or None if the
-        block adds none.  `SparseRows` and the basis so far are reduced
-        together from their coordinates (`_rref`), a block and the basis by
-        `_eliminate`."""
-        fld, old = self.field, self.full_rows()
-        if isinstance(rows, SparseRows):
-            both = zip(_coordinates(old), (rows.rows + self.dim, rows.cols, rows.vals))
-            pivots, tails = _rref(*map(np.concatenate, both), self.dim + len(rows), self.ncols, fld)
-        else:
-            pivots, reduced = _reduced(np.concatenate([old, fld.array(rows, self.ncols)]), fld)
-            tails = np.delete(reduced, pivots, axis=1)
+        """Add the span of the `SparseRows` of field elements `rows`; return the
+        number of new pivots, or None if they add none.  They and the basis so
+        far are reduced together from their coordinates (`_rref`)."""
+        both = zip(_coordinates(self.full_rows()), (rows.rows + self.dim, rows.cols, rows.vals))
+        pivots, tails = _rref(*map(np.concatenate, both), self.dim + len(rows), self.ncols, self.field)
         new = len(pivots) - self.dim
         if new:
-            self.pivots, self.tails = tuple(np.asarray(pivots).tolist()), tails
-            self.support = tuple(np.delete(np.arange(self.ncols), pivots).tolist())
+            super().__init__(self.ncols, self.field, pivots, tails)
         return new or None
 

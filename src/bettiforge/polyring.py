@@ -108,16 +108,6 @@ def positions_of(exps):
     return product_positions(exps, exponent_array(exps.shape[1], 0))[:, 0]
 
 
-@lru_cache(maxsize=None)
-def variable_shift_map(nvars, degree, var):
-    """Positions of x_var * m in degree+1, for m running over degree-`degree` monomials."""
-    unit = np.zeros((1, nvars), dtype=np.int64)
-    unit[0, var] = 1
-    out = product_positions(exponent_array(nvars, degree), unit)[:, 0]
-    out.flags.writeable = False
-    return out
-
-
 class Polynomial:
     """A form over an exact field: `degree` (None for zero only), the ascending
     int64 `positions` of its terms in exponent_array(nvars, degree), the

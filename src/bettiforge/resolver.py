@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConsistencyError, NonArtinianError, PreconditionError
+from .errors import ConsistencyError, NonArtinianError, PreconditionError, UnitIdealError
 from .exactalg import Accumulator, RowBasis, SparseRows, rank_of_rows
 from .formulas import BettiTable
 from .polyring import (
@@ -42,7 +42,6 @@ from .polyring import (
     power_ideal,
     product_positions,
     ring_of,
-    variable_shift_map,
 )
 
 
@@ -81,11 +80,10 @@ def slice_at_degree(gens, j, nvars, field):
 
     block = RowBasis.from_rows(np.concatenate(blocks), len(candidates), field)
     pivots = mono_pivots + [candidates[t] for t in block.pivots]
-    support = [candidates[t] for t in block.support]
     order = np.argsort(pivots, kind="stable")
-    tails = field.zeros((len(pivots), len(support)))
+    tails = field.zeros((len(pivots), block.codim))
     tails[len(mono_pivots):] = block.tails
-    return RowBasis(len(exps), field, [pivots[k] for k in order], support, tails[order])
+    return RowBasis(len(exps), field, [pivots[k] for k in order], tails[order])
 
 
 class GradedQuotient:
@@ -104,7 +102,6 @@ class GradedQuotient:
         self.bases = dict(bases)
         self.bound = max(self.bases) if self.bases else -1
         self._classes = {}
-        self._mult = {}
         self._mult_nonzeros = {}
 
     def _within_bound(self, j):
@@ -154,12 +151,9 @@ class GradedQuotient:
 
     def mult_variable(self, v, j):
         """Matrix of multiplication by x_v from degree j to j+1, columns over std monomials."""
-        key = (v, j)
-        if key not in self._mult:
-            target = self.class_matrix(j + 1)
-            shift = variable_shift_map(self.nvars, j, v)
-            self._mult[key] = target[shift[list(self.bases[j].support)]].T.copy()
-        return self._mult[key]
+        standard = exponent_array(self.nvars, j)[list(self.bases[j].support)]
+        shift = product_positions(standard, np.eye(1, self.nvars, v, dtype=np.int64))[:, 0]
+        return self.class_matrix(j + 1)[shift].T.copy()
 
     def mult_nonzeros(self, j):
         """The nonzeros of the maps `mult_variable(v, j)` side by side,
@@ -236,7 +230,8 @@ def minimal_generators(ideal):
     of R_1 * I_{j-1}.  Its spanning rows x_v * b, for every variable x_v and
     every basis row b of I_{j-1}, hold about one nonzero each, so they go to
     one `Accumulator.absorb` per degree as `SparseRows` in those coordinates,
-    which over GF(p) reduces them without a dense block.
+    which over GF(p) reduces them without a dense block.  Only the generator
+    rows of I_j's basis are laid out at full width, not all dim of them.
     """
     nvars, field = ideal.nvars, ideal.field
     out = []
@@ -262,9 +257,10 @@ def minimal_generators(ideal):
             order = np.lexsort((cols, rows))
             spanned.absorb(SparseRows(nvars * prev.dim, rows[order], cols[order], vals[e][order]))
         new = [base.dim - 1 - c for c in reversed(spanned.support)]
-        gens = RowBasis(base.ncols, field, [base.pivots[k] for k in new], base.support,
-                        base.tails[new])
-        for row in gens.full_rows():
+        gens = field.zeros((len(new), base.ncols))
+        gens[np.arange(len(new)), np.array(base.pivots, np.int64)[new]] = field.one
+        gens[:, list(base.support)] = base.tails[new]
+        for row in gens:
             out.append(Polynomial.from_vector(row, nvars, j, field))
     return out
 
@@ -321,7 +317,9 @@ def _koszul_differential_rank(quot, i, j):
 
 
 def betti_from_quotient(quot):
-    """Graded Betti table of the quotient, as graded Koszul homology dimensions."""
+    """Graded Betti table of R/I, as graded Koszul homology dimensions; none for R/I = 0."""
+    if quot.hf(0) == 0:
+        raise UnitIdealError("the ideal is the unit ideal: R/I = 0 has no Betti table")
     n = quot.nvars
     s = quot.socle_degree
     ranks = {}
@@ -356,7 +354,7 @@ def minimal_betti_oracle(gens):
 def _kernel_row_basis(matrix_rows, ncols, field):
     """RowBasis of the kernel of the map with the given rows (shape h x ncols)."""
     reducer = RowBasis.from_rows(matrix_rows, ncols, field)
-    return RowBasis(ncols, field, reducer.support, reducer.pivots, field.reduce(-reducer.tails.T))
+    return RowBasis(ncols, field, reducer.support, field.reduce(-reducer.tails.T))
 
 
 def colon_ideal(gens, f):

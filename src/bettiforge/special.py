@@ -352,13 +352,14 @@ def esym_annihilator_generators(nvars, d, field=QQ):
     differences x_a - x_b, times one further variable when m is even, each up to
     sign.
 
-    Each orbit element is checked against the colon ideal and the graded
-    dimensions are matched in the two generating degrees.
+    The colon ideal (x_i^2) : ℓ^d comes from `power_ideal`, over a field
+    `require_general_ell` allows.  Each orbit element is checked against it
+    and the graded dimensions are matched in the two generating degrees.
     """
     if not 1 <= d <= nvars - 1:
         raise PreconditionError("need 1 <= d <= n-1")
     m = nvars - d
-    squares = [Polynomial.variable_power(i, 2, nvars, field) for i in range(nvars)]
+    *squares, ell_d = power_ideal((2,) * nvars, d, field)
     orbit = []
     for pairs in _disjoint_pairs(tuple(range(nvars)), (m + 1) // 2):
         used = {v for pair in pairs for v in pair}
@@ -366,7 +367,6 @@ def esym_annihilator_generators(nvars, d, field=QQ):
         orbit += [_normalize_sign(_difference_product(pairs, v, nvars, field)) for v in extras]
     orbit.sort(key=lambda g: sorted(zip(g.exponents().tolist(), g.values.tolist())))
 
-    ell_d = power_of_linear([1] * nvars, d, field)
     colon = colon_ideal(squares, ell_d)
     for g in orbit:
         if not colon.contains(g):

@@ -67,6 +67,10 @@ def test_lefschetz_refuses_an_element_that_is_not_linear(ell, capsys):
     (["lefschetz", "--degrees", "3,3,2", "--ell-power", "4", "--colon", "--field", "3"], 5),
     (["check", "regular", "--degrees", "3,3,2", "--ell-power", "4", "--field", "2"], 4),
     (["check", "regular", "--degrees", "3,3,2", "--ell-power", "4", "--field", "3"], 4),
+    # esym builds (x_i^2) : ell^d, whose socle degree is n
+    (["esym", "gens", "--nvars", "4", "--d", "2", "--field", "2"], 4),
+    (["esym", "gens", "--nvars", "3", "--d", "2", "--field", "3"], 3),
+    (["esym", "gens", "--nvars", "6", "--d", "5", "--field", "5"], 6),
 ])
 def test_a_characteristic_up_to_the_socle_degree_is_refused(argv, socle, capsys):
     # the paper's ideals need ell = x1 + .. + xn general: p > sum(d_i - 1)
@@ -75,6 +79,20 @@ def test_a_characteristic_up_to_the_socle_degree_is_refused(argv, socle, capsys)
     p = argv[-1]
     assert out == "" and err == (f"error: GF({p}) is too small for ℓ = x1 + .. + xn: the "
                                  f"characteristic must exceed the socle degree {socle} of R/(x^d)\n")
+
+
+@pytest.mark.parametrize("nvars,d,field", [(4, 2, "5"), (3, 1, "5"), (4, 3, "rational")])
+def test_esym_gens_past_the_socle_degree_are_generated(nvars, d, field, capsys):
+    argv = ["esym", "gens", "--nvars", str(nvars), "--d", str(d), "--field", field]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") > nvars
+
+
+@pytest.mark.parametrize("gens", ["1", "x1;1", "x1^2;x2;3"])
+def test_the_unit_ideal_has_no_betti_table(gens, capsys):
+    assert main(["betti", "oracle", "--gens", gens]) == 1
+    assert capsys.readouterr() == ("", "error: the ideal is the unit ideal: R/I = 0 has no Betti table\n")
 
 
 def test_check_generic_level_takes_no_field(capsys):

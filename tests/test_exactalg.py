@@ -149,7 +149,7 @@ def test_rank_agrees_over_fields(rows):
     for f in FIELDS:
         acc = Accumulator(ncols, f)
         for row in rows:
-            acc.absorb([row])
+            acc.absorb(_sparse(f.array([row], ncols)))
         assert rank_of_rows(rows, ncols, f) == acc.dim == bases[f].dim == rank
     qq = bases[QQ]
     pivots, reduced = _rref_reference(rows)
@@ -178,7 +178,7 @@ def test_block_accumulator_matches_from_rows(rows_and_cuts):
         acc = Accumulator(ncols, f)
         for block in blocks:
             before = acc.dim
-            added = acc.absorb(block)
+            added = acc.absorb(_sparse(f.array(block, ncols)))
             assert added == (acc.dim - before or None)
         want = RowBasis.from_rows(rows, ncols, f)
         assert acc.dim == want.dim
@@ -418,7 +418,7 @@ def _assert_reduces_like_the_reference(rows, ncols, blocks):
     acc = Accumulator(ncols, QQ)
     cuts = np.linspace(0, len(rows), blocks + 1).astype(int).tolist()
     for a, b in zip(cuts, cuts[1:]):
-        acc.absorb(rows[a:b])
+        acc.absorb(_sparse(QQ.array(rows[a:b], ncols)))
     for basis in (RowBasis.from_rows(rows, ncols, QQ), acc):
         assert list(basis.pivots) == pivots
         assert basis.tails.tolist() == [[row[c] for c in basis.support] for row in reduced]
@@ -814,14 +814,14 @@ def stacked_matrices(draw):
 @example(np.zeros((0, 3), dtype=np.int64), 0)  # an empty block
 @example(np.zeros((4, 5), dtype=np.int64), 2)  # zero rows
 def test_sparse_absorb_matches_from_rows(a, cut):
-    # the first `cut` rows go in as a dense block, so that the sparse block
-    # meets a basis that is not empty whenever they have rank; stacked
+    # the first `cut` rows go in as a block of their own, so that the second
+    # block meets a basis that is not empty whenever they have rank; stacked
     # matrices reach the Schur recursion and the solve of the tails
     ncols = a.shape[1]
     for field in FIELDS:
         dense = field.array(a, ncols)
         acc = Accumulator(ncols, field)
-        acc.absorb(dense[:cut])
+        acc.absorb(_sparse(dense[:cut]))
         before = acc.dim
         added = acc.absorb(_sparse(dense[cut:]))
         want = RowBasis.from_rows(a, ncols, field)

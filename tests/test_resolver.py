@@ -202,16 +202,24 @@ def test_colon_four_squares_by_ell_square():
 def test_products_class_matrix_is_the_reduced_products(field, terms):
     # row m is the class of m * g in degree k + deg g: the product formed by
     # `dot` and reduced by that degree's basis, over every monomial m and over
-    # the standard ones (`mult_poly`)
+    # the standard ones (`mult_poly`), and so is column m of `mult_variable`
+    # for g = x_v, over the standard m
     quot = ideal_slices(power_ideal((4, 4, 4), 3, field))
     g = Polynomial.from_terms(3, field, terms)
-    for k in range(quot.socle_degree - g.degree + 1):
+
+    def reduced_products(g, k):
         base = quot.bases[k + g.degree]
-        expected = [base.reduce(dot([Polynomial.monomial(m, field)], [g]).to_vector(k + g.degree))
-                    for m in monomials_of_degree(3, k)]
-        assert quot.products_class_matrix(g, k).tolist() == np.array(expected).tolist()
+        return np.array([base.reduce(dot([Polynomial.monomial(m, field)], [g]).to_vector(k + g.degree))
+                         for m in monomials_of_degree(3, k)])
+
+    for k in range(quot.socle_degree - g.degree + 1):
+        expected = reduced_products(g, k)
+        assert quot.products_class_matrix(g, k).tolist() == expected.tolist()
         support = list(quot.bases[k].support)
-        assert quot.mult_poly(g, k).T.tolist() == np.array(expected)[support].tolist()
+        assert quot.mult_poly(g, k).T.tolist() == expected[support].tolist()
+        for v in range(3):
+            shifted = reduced_products(Polynomial.variable(v, 3, field), k)[support]
+            assert quot.mult_variable(v, k).T.tolist() == shifted.tolist()
 
 
 def test_socle_of_complete_intersection():

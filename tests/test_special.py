@@ -27,7 +27,8 @@ from bettiforge import (
     syzygies_in_degree,
 )
 from bettiforge.errors import ParityError, PreconditionError
-from bettiforge.exactalg import Accumulator
+from bettiforge.exactalg import rank_of_rows
+from bettiforge.polyring import monomial_count
 from bettiforge.special import _difference_product, _normalize_sign
 
 from helpers import coeffs, quadric_sum_sweep, sorted_multisets
@@ -173,13 +174,8 @@ def test_syzygy_property_rejects_non_relation():
 def orbit_span_dim(polys, degree):
     if not polys:
         return 0
-    field = polys[0].field
-    from bettiforge.polyring import monomials_of_degree
-
-    acc = Accumulator(len(monomials_of_degree(polys[0].nvars, degree)), field)
-    for p in polys:
-        acc.absorb([p.to_vector()])
-    return acc.dim
+    return rank_of_rows([p.to_vector() for p in polys], monomial_count(polys[0].nvars, degree),
+                        polys[0].field)
 
 
 def test_esym_generators_three_one():
