@@ -134,12 +134,21 @@ class LefschetzReport:
 
 
 def lefschetz_check(source, ell=None, mode="SLP"):
-    """Rank every multiplication map by powers of the candidate linear form.
+    """Rank every multiplication map ℓ^j: A_i → A_{i+j} by powers of the
+    candidate linear form.
 
     SLP mode checks all powers j >= 1 with i + j inside the socle range, WLP
-    mode only j = 1.  The verdict speaks for the tested form only.  The maps
-    by ℓ are built once per degree, and up to sign the map by ℓ^j from
-    degree i is the one by ℓ from degree i + j − 1 after the one by ℓ^(j−1).
+    mode only j = 1.  The verdict speaks for the tested form only.  Every
+    rank is exact, and most follow from a few: if ℓ^J is injective on A_i,
+    so is every lower power, and if ℓ^J maps A_{t−J} onto A_t, so does
+    every lower power ℓ^j from A_{t−j}.  The source degrees i go up, so a
+    map found onto A_t was by a higher power than any later one into A_t.
+    Per degree i, the chain ℓ, ℓ^2, .., ℓ^need on A_i is built, one product
+    by the map by ℓ per power, up to the highest power into an A_t not yet
+    reached onto, and dropped before the next degree.  Going down from
+    `need`, a rank is h_i under an injective power, h_t into a reached A_t,
+    and ranked otherwise; each rank records what it shows.  A = R/I is
+    generated by A_1, so no h_i in the socle range is 0.
     """
     mode = mode.upper()
     if mode not in ("SLP", "WLP"):
@@ -154,21 +163,33 @@ def lefschetz_check(source, ell=None, mode="SLP"):
     _guard_characteristic(fld, max(s, 1))
     if ell is None:
         ell = standard_linear_form(n, fld)
-    powers = range(1, 2) if mode == "WLP" else range(1, s + 1)
-    checks = []
+    top = 1 if mode == "WLP" else s
+    h = [quot.hf(d) for d in range(s + 1)]
     step = [quot.mult_poly(ell, d) for d in range(s)]
-    maps = step[:]
-    for jpow in powers:
-        for i in range(0, s - jpow + 1):
-            h0, h1 = quot.hf(i), quot.hf(i + jpow)
-            if jpow > 1:
-                # 0 - step·map: the sign flips with each power, which leaves
-                # every rank as it is
-                maps[i] = fld.sub_matmul(fld.zeros((h1, h0)), step[i + jpow - 1], maps[i])
-            if h0 == 0 and h1 == 0:
-                continue
-            rank = rank_of_rows(maps[i], h0, fld) if h0 else 0
-            checks.append(LefschetzCheck(i, jpow, h0, h1, rank))
+    onto = set()
+    ranks = {}
+    for i in range(s):
+        powers = range(1, min(top, s - i) + 1)
+        need = max((j for j in powers if i + j not in onto), default=0)
+        chain = [step[i]]
+        for j in range(2, need + 1):
+            # 0 - step·chain: the sign flips with each power, which leaves
+            # every rank as it is
+            chain.append(fld.sub_matmul(fld.zeros((h[i + j], h[i])), step[i + j - 1], chain[-1]))
+        injective = False
+        for j in reversed(powers):
+            if injective:
+                rank = h[i]
+            elif i + j in onto:
+                rank = h[i + j]
+            else:
+                rank = rank_of_rows(chain[j - 1], h[i], fld)
+            injective = rank == h[i]
+            if rank == h[i + j]:
+                onto.add(i + j)
+            ranks[i, j] = rank
+    checks = [LefschetzCheck(i, j, h[i], h[i + j], ranks[i, j])
+              for j in range(1, top + 1) for i in range(s - j + 1)]
     all_max = all(c.maximal for c in checks)
     if mode == "WLP":
         verdict = "WLP" if all_max else "neither"

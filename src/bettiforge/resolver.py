@@ -169,22 +169,35 @@ class GradedQuotient:
 
     def products_class_matrix(self, g, k, monos=None):
         """Rows = class of (m * g) in degree k + deg g, m over the degree-k
-        monomials, or over those at the positions `monos` when given.  The
-        class rows of g's terms are summed once per distinct coefficient, then
-        scaled: over GF(p) every sum is of fewer than 2**32 residues."""
+        monomials, or over those at the positions `monos` when given.
+
+        A term of m * g on a support column of the target basis is its own
+        coordinate, written into place: the terms of one row sit at distinct
+        monomials, so nothing is summed.  A pivot's class is minus its tail,
+        so the terms on pivots with a nonzero tail are gathered into W, and
+        the rows are finished by one `sub_matmul` by those tails, exact by
+        the field's product (`_sub_mod` over GF(p)).  A basis with no
+        nonzero tail, as a monomial ideal's, forms no product."""
         exps = exponent_array(self.nvars, k)
         if monos is not None:
             exps = exps[list(monos)]
-        fld, target = self.field, self.class_matrix(k + g.degree)
+        fld, base = self.field, self.bases[k + g.degree]
         at = product_positions(exps, g.exponents())
-        out = fld.zeros((len(exps), target.shape[1]))
-        for c in set(g.values.tolist()):
-            first, *rest = at[:, g.values == c].T
-            rows = target[first]
-            for t in rest:
-                rows += target[t]
-            out += fld.reduce(c * fld.reduce(rows))
-        return fld.reduce(out)
+
+        def scatter(cols):
+            coord = np.full(base.ncols, -1)
+            coord[cols] = np.arange(len(cols))
+            hit = coord[at]
+            rows, t = np.nonzero(hit >= 0)
+            out = fld.zeros((len(exps), len(cols)))
+            out[rows, hit[rows, t]] = g.values[t]
+            return out
+
+        out = scatter(list(base.support))
+        live = np.flatnonzero(np.count_nonzero(base.tails, axis=1))
+        if live.size:
+            out = fld.sub_matmul(out, scatter(np.array(base.pivots, np.int64)[live]), base.tails[live])
+        return out
 
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""

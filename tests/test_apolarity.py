@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bettiforge.apolarity as apolarity
 from bettiforge import (
     GF_DEFAULT,
     QQ,
@@ -13,6 +16,7 @@ from bettiforge import (
     ideal_slices,
     lefschetz_check,
     linked_ideal,
+    monomials_of_degree,
     power_ideal,
     power_of_linear,
     semiregularity_check,
@@ -89,9 +93,9 @@ def test_dual_generator_of_colon_matches_colon_ideal():
             assert col.bases[j].contains(row)
 
 
-def _dual_generator_inputs(nvals):
-    """(degrees, e): d_i in {2, 3, 4} and every e with ell^e outside (x_i^d_i)."""
-    return [(degs, e) for n in nvals for degs in sorted_multisets((2, 3, 4), n)
+def _dual_generator_inputs(nvals, degree_values=(2, 3, 4)):
+    """(degrees, e): d_i in `degree_values` and every e with ell^e outside (x_i^d_i)."""
+    return [(degs, e) for n in nvals for degs in sorted_multisets(degree_values, n)
             for e in range(1, sum(d - 1 for d in degs) + 1)]
 
 
@@ -120,6 +124,12 @@ def test_dual_generator_of_the_link_at_four_variables(degrees, e):
 @pytest.mark.slow
 @pytest.mark.parametrize("degrees,e", _dual_generator_inputs([5]))
 def test_dual_generator_of_the_link_at_five_variables(degrees, e):
+    _check_dual_generator_of_the_link(degrees, e)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("degrees,e", _dual_generator_inputs([6], (2, 3)))
+def test_dual_generator_of_the_link_at_six_variables(degrees, e):
     _check_dual_generator_of_the_link(degrees, e)
 
 
@@ -182,6 +192,13 @@ def test_lefschetz_detects_failure():
     assert wlp.verdict == "WLP"  # single steps by x1 are still maximal rank
 
 
+def _power(ell, j):
+    out = ell
+    for _ in range(j - 1):
+        out = out * ell
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, GF_DEFAULT], ids=str)
 def test_lefschetz_ranks_match_the_maps_by_each_power(field):
     # the checks compose the maps by ell; every rank must be that of the map
@@ -193,13 +210,79 @@ def test_lefschetz_ranks_match_the_maps_by_each_power(field):
         rep = lefschetz_check(quot, ell)
         assert max(c.power for c in rep.checks) == quot.socle_degree
         for c in rep.checks:
-            power = ell
-            for _ in range(c.power - 1):
-                power = power * ell
-            assert c.rank == rank_of_rows(quot.mult_poly(power, c.source_degree), c.dim_source,
-                                          field), (ell, c)
+            assert c.rank == rank_of_rows(quot.mult_poly(_power(ell, c.power), c.source_degree),
+                                          c.dim_source, field), (ell, c)
         maximal.append(rep.verdict == "SLP")
     assert maximal == [True, False, False]
+
+
+@st.composite
+def _artinian_quotients(draw):
+    """R/I for n <= 3 over GF(65521) or QQ: a monomial complete intersection,
+    the same plus a random dense form, or a link (x_i^d_i) : ell^e."""
+    field = draw(st.sampled_from([GF_DEFAULT, QQ]))
+    n = draw(st.integers(1, 3))
+    degrees = tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["monomial", "dense", "linked"]))
+    if kind == "linked":
+        e = draw(st.integers(1, sum(d - 1 for d in degrees)))
+        return linked_ideal(DegreeSequence(n, degrees, e), field)
+    gens = [vp(i, d, n, field) for i, d in enumerate(degrees)]
+    if kind == "dense":
+        degree = draw(st.integers(2, 4))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials_of_degree(n, degree)),
+                               max_size=len(monomials_of_degree(n, degree))))
+        gens.append(Polynomial.from_vector(coeffs, n, degree, field))
+    return ideal_slices([g for g in gens if not g.is_zero()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(quot=_artinian_quotients(), coeffs=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+       mode=st.sampled_from(["SLP", "WLP"]))
+def test_lefschetz_ranks_and_verdict_match_ranking_every_map(quot, coeffs, mode):
+    # the checks infer most ranks from injective and onto maps; each must be
+    # the rank of the map by the power itself, and the verdict must be the one
+    # read off ranking every map
+    n, field = quot.nvars, quot.field
+    ell = Polynomial.from_vector(coeffs[:n], n, 1, field)
+    if ell.is_zero():
+        ell = vp(n - 1, 1, n, field)
+    rep = lefschetz_check(quot, ell, mode)
+    s = quot.socle_degree
+    top = 1 if mode == "WLP" else s
+    expected = [(i, j) for j in range(1, top + 1) for i in range(s - j + 1)]
+    assert [(c.source_degree, c.power) for c in rep.checks] == expected
+    for c in rep.checks:
+        h0, h1 = quot.hf(c.source_degree), quot.hf(c.source_degree + c.power)
+        assert (c.dim_source, c.dim_target) == (h0, h1)
+        assert c.rank == rank_of_rows(quot.mult_poly(_power(ell, c.power), c.source_degree),
+                                      h0, field), (ell, c)
+    maximal = {(c.source_degree, c.power): c.maximal for c in rep.checks}
+    if all(maximal.values()):
+        verdict = mode
+    elif mode == "SLP" and all(ok for (_, j), ok in maximal.items() if j == 1):
+        verdict = "WLP-only"
+    else:
+        verdict = "neither"
+    assert rep.verdict == verdict
+
+
+def test_lefschetz_ranks_only_what_maximal_rank_leaves_open(monkeypatch):
+    # on a Gorenstein link with the SLP, the map by ell^(s-2i) from A_i onto
+    # A_(s-i) settles every other map from A_i and into A_(s-i)
+    quot = linked_ideal(DegreeSequence(5, (4, 4, 4, 4, 4), 3), GF_DEFAULT)
+    s = quot.socle_degree
+    assert s == 12
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return rank_of_rows(*args)
+
+    monkeypatch.setattr(apolarity, "rank_of_rows", spy)
+    rep = lefschetz_check(quot)
+    assert rep.verdict == "SLP" and len(rep.checks) == s * (s + 1) // 2
+    assert len(calls) <= s // 2 + 1
 
 
 def test_semiregularity_examples():

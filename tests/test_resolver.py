@@ -191,7 +191,8 @@ def test_colon_four_squares_by_ell_square():
     assert col.hilbert() == gorenstein_linked_hilbert(DegreeSequence(4, (2, 2, 2, 2), 2))
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["QQ", "GF(2**31-1)"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1), GF_PARANOIA],
+                         ids=["QQ", "GF(2**31-1)", "GF(1073741789)"])
 @pytest.mark.parametrize("terms", [
     # ell^3 scaled by -1/2: 10 terms, 3 distinct coefficients
     {m: Fraction(-c, 2) for m, c in zip(monomials_of_degree(3, 3),
@@ -199,27 +200,43 @@ def test_colon_four_squares_by_ell_square():
     {(2, 1, 0): 1, (1, 0, 2): 2, (0, 3, 0): -3, (1, 1, 1): Fraction(5, 7), (0, 0, 3): -11},
     {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 4, (2, 0, 1): 4, (0, 1, 2): 9},
 ], ids=["repeated", "distinct", "both"])
-def test_products_class_matrix_is_the_reduced_products(field, terms):
+def test_products_class_matrix_is_the_reduced_products(field, terms, monkeypatch):
     # row m is the class of m * g in degree k + deg g: the product formed by
-    # `dot` and reduced by that degree's basis, over every monomial m and over
-    # the standard ones (`mult_poly`), and so is column m of `mult_variable`
-    # for g = x_v, over the standard m
-    quot = ideal_slices(power_ideal((4, 4, 4), 3, field))
+    # `dot` and reduced by that degree's basis, over every monomial m, over
+    # the monomials at explicit positions `monos`, and over the standard ones
+    # (`mult_poly`), and so is column m of `mult_variable` for g = x_v, over
+    # the standard m; on the quotient by the power ideal, by its monomials
+    # alone, whose bases have no tail, so that no matrix product is formed,
+    # and by the link, whose bases are dense
     g = Polynomial.from_terms(3, field, terms)
+    sub_matmul, products = type(field).sub_matmul, []
+
+    def spy(*args):
+        products.append(args)
+        return sub_matmul(*args)
 
     def reduced_products(g, k):
         base = quot.bases[k + g.degree]
         return np.array([base.reduce(dot([Polynomial.monomial(m, field)], [g]).to_vector(k + g.degree))
                          for m in monomials_of_degree(3, k)])
 
-    for k in range(quot.socle_degree - g.degree + 1):
-        expected = reduced_products(g, k)
-        assert quot.products_class_matrix(g, k).tolist() == expected.tolist()
-        support = list(quot.bases[k].support)
-        assert quot.mult_poly(g, k).T.tolist() == expected[support].tolist()
-        for v in range(3):
-            shifted = reduced_products(Polynomial.variable(v, 3, field), k)[support]
-            assert quot.mult_variable(v, k).T.tolist() == shifted.tolist()
+    gens = power_ideal((4, 4, 4), 3, field)
+    for quot, formed in [(ideal_slices(gens), True), (ideal_slices(gens[:3]), False),
+                         (linked_ideal(DegreeSequence(3, (4, 4, 4), 3), field), True)]:
+        products.clear()
+        for k in range(quot.socle_degree - g.degree + 1):
+            expected = reduced_products(g, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(type(field), "sub_matmul", spy)
+                assert quot.products_class_matrix(g, k).tolist() == expected.tolist()
+            monos = list(range(len(expected)))[::-2]
+            assert quot.products_class_matrix(g, k, monos).tolist() == expected[monos].tolist()
+            support = list(quot.bases[k].support)
+            assert quot.mult_poly(g, k).T.tolist() == expected[support].tolist()
+            for v in range(3):
+                shifted = reduced_products(Polynomial.variable(v, 3, field), k)[support]
+                assert quot.mult_variable(v, k).T.tolist() == shifted.tolist()
+        assert bool(products) == formed
 
 
 def test_socle_of_complete_intersection():
