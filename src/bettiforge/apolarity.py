@@ -216,9 +216,8 @@ def semiregularity_check(gens):
         d = 0 if g.is_zero() else g.degree
         quot = ideal_slices([Polynomial.zero(nvars, field), *gens[:k]], max_degree)
         for i in range(0, max_degree - d + 1):
-            h0 = quot.hf(i)
-            h1 = quot.hf(i + d)
-            if h0 == 0:
+            h0, h1 = quot.hf(i), quot.hf(i + d)
+            if not h0 or not h1:
                 continue
             rank = 0 if g.is_zero() else rank_of_rows(quot.mult_poly(g, i), h0, field)
             if rank != min(h0, h1):

@@ -721,33 +721,29 @@ def rank_of_rows(rows, ncols, field):
     """Rank of a stack of coefficient rows, never modified: `SparseRows`, an
     array, or a list of rows.
 
-    `SparseRows` are ranked from their coordinates as they are.  An int64
-    array already reduced into [0, p) is read in place, anything else goes
-    through `field.array` first, and either is scanned once for its
-    coordinates; over QQ each row is then scaled to integers
-    (`RationalField.numerators`).  The rank is k, the number of structural
-    pivots, plus the rank of their Schur complement (`_rank`): exact in
-    float64 over every GF(p), one product where k·(p−1)² + p <= 2⁵³, else
-    15-bit limbs (`_sub_mod`), with at most 2¹⁸ cells dense per block; by
-    `_eliminate` over QQ.
+    `SparseRows` are ranked from their coordinates as they are; anything
+    else goes through `field.array` and is scanned once for its coordinates.
+    Over QQ each row is then scaled to integers (`RationalField.numerators`).
+    The rank is k, the number of structural pivots, plus the rank of their
+    Schur complement (`_rank`): exact in float64 over every GF(p), one
+    product where k·(p−1)² + p <= 2⁵³, else 15-bit limbs (`_sub_mod`), with
+    at most 2¹⁸ cells dense per block; by `_eliminate` over QQ.
     """
     nrows = len(rows)
     if isinstance(rows, SparseRows):
         r, c, v = rows.rows, rows.cols, rows.vals
     else:
-        p = field.characteristic
-        if not (p and isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
-                and rows.shape[1] == ncols and rows.size and rows.min() >= 0 and rows.max() < p):
-            rows = field.array(rows, ncols)
-        r, c, v = _coordinates(rows)
+        r, c, v = _coordinates(field.array(rows, ncols))
     return _rank(r, c, field.numerators(r, v), nrows, ncols, field)
 
 
 def _reduced(a, field):
-    """The pivot columns and the reduced row echelon rows, one per pivot, of
-    the field array `a`, which may be overwritten."""
+    """The ascending int64 pivot columns of the reduced row echelon form of
+    the field array `a`, which may be overwritten, and its tails: each
+    reduced row, one per pivot, on the other columns."""
     b, pivots = _eliminate(field.row_numerators(a), field, full=True)
-    return pivots, field.pivot_rows(b[:len(pivots)], pivots)
+    pivots = np.array(pivots, np.int64)
+    return pivots, np.delete(field.pivot_rows(b[:pivots.size], pivots), pivots, axis=1)
 
 
 def _rref(rows, cols, vals, nrows, ncols, field):
@@ -765,8 +761,7 @@ def _rref(rows, cols, vals, nrows, ncols, field):
     if not p or 2 * vals.size > nrows * ncols:
         a = field.zeros((nrows, ncols))
         a[rows, cols] = vals
-        pivots, reduced = _reduced(a, field)
-        return np.array(pivots, np.int64), np.delete(reduced, pivots, axis=1)
+        return _reduced(a, field)
     # every row divided by its leading entry, which makes T unit upper triangular
     first = _starts(rows)
     heads = vals[first].tolist()
@@ -810,25 +805,25 @@ class RowBasis:
 
     Every basis row equals 1 at its own pivot column, 0 at all other pivot
     columns, and is otherwise supported on the complementary ("support")
-    columns, derived from the ascending `pivots`; `tails` holds exactly that
-    part, one row per pivot.  Reduction of any vector therefore leaves a
-    residual on the support columns, the coordinate vector in the quotient.
+    columns; `tails` holds exactly that part, one row per pivot.  `pivots`
+    and `support` are ascending int64 arrays of column indices, the support
+    derived from the pivots, and index field arrays directly.  Reduction of
+    any vector therefore leaves a residual on the support columns, the
+    coordinate vector in the quotient.
     """
 
     __slots__ = ("ncols", "field", "pivots", "support", "tails")
 
     def __init__(self, ncols, field, pivots, tails):
-        pivots = np.asarray(pivots, np.int64)
         self.ncols = ncols
         self.field = field
-        self.pivots = tuple(pivots.tolist())
-        self.support = tuple(np.delete(np.arange(ncols), pivots).tolist())
+        self.pivots = np.asarray(pivots, np.int64)
+        self.support = np.delete(np.arange(ncols), self.pivots)
         self.tails = tails
 
     @classmethod
     def from_rows(cls, rows, ncols, field):
-        pivots, reduced = _reduced(field.array(rows, ncols), field)
-        return cls(ncols, field, pivots, np.delete(reduced, pivots, axis=1))
+        return cls(ncols, field, *_reduced(field.array(rows, ncols), field))
 
     @classmethod
     def full(cls, ncols, field):
@@ -846,7 +841,7 @@ class RowBasis:
         """Residual of `vec` modulo the subspace, as coordinates on `support`."""
         fld = self.field
         vec = fld.array([vec], self.ncols)
-        return fld.sub_matmul(vec[:, list(self.support)], vec[:, list(self.pivots)], self.tails)[0]
+        return fld.sub_matmul(vec[:, self.support], vec[:, self.pivots], self.tails)[0]
 
     def contains(self, vec):
         return not np.count_nonzero(self.reduce(vec))
@@ -854,8 +849,8 @@ class RowBasis:
     def full_rows(self):
         """Reconstruct the basis as full-width coefficient rows."""
         out = self.field.zeros((self.dim, self.ncols))
-        out[np.arange(self.dim), list(self.pivots)] = self.field.one
-        out[:, list(self.support)] = self.tails
+        out[np.arange(self.dim), self.pivots] = self.field.one
+        out[:, self.support] = self.tails
         return out
 
     def class_matrix(self):
@@ -865,8 +860,8 @@ class RowBasis:
         a unit row for support columns, minus the tail for pivot columns.
         """
         out = self.field.zeros((self.ncols, self.codim))
-        out[list(self.support), np.arange(self.codim)] = self.field.one
-        out[list(self.pivots)] = self.field.reduce(-self.tails)
+        out[self.support, np.arange(self.codim)] = self.field.one
+        out[self.pivots] = self.field.reduce(-self.tails)
         return out
 
 

@@ -63,8 +63,7 @@ def slice_at_degree(gens, j, nvars, field):
     hit = np.zeros(len(exps), dtype=bool)
     if mono_gens:
         hit = (exps[:, None, :] >= np.array(mono_gens)[None]).all(axis=2).any(axis=1)
-    mono_pivots = np.flatnonzero(hit).tolist()
-    candidates = np.flatnonzero(~hit).tolist()
+    mono_pivots, candidates = np.flatnonzero(hit), np.flatnonzero(~hit)
     cand_pos = np.full(len(exps), -1)
     cand_pos[candidates] = np.arange(len(candidates))
 
@@ -79,11 +78,10 @@ def slice_at_degree(gens, j, nvars, field):
         blocks.append(block[(cols >= 0).any(axis=1)])
 
     block = RowBasis.from_rows(np.concatenate(blocks), len(candidates), field)
-    pivots = mono_pivots + [candidates[t] for t in block.pivots]
+    pivots = np.concatenate([mono_pivots, candidates[block.pivots]])
     order = np.argsort(pivots, kind="stable")
-    tails = field.zeros((len(pivots), block.codim))
-    tails[len(mono_pivots):] = block.tails
-    return RowBasis(len(exps), field, [pivots[k] for k in order], tails[order])
+    tails = np.concatenate([field.zeros((mono_pivots.size, block.codim)), block.tails])
+    return RowBasis(len(exps), field, pivots[order], tails[order])
 
 
 class GradedQuotient:
@@ -94,6 +92,10 @@ class GradedQuotient:
     bases (their support columns): the Hilbert function, the socle degree, a
     class matrix sending each monomial to its residue coordinates, and
     multiplication maps between graded pieces.
+
+    The bases end at the first degree where R/I vanishes, the witness that I
+    holds every later degree: past it `hf` reads 0, `dim` (read off `hf`) the
+    monomial count, and `contains` True, with no basis to read.
     """
 
     def __init__(self, nvars, field, bases):
@@ -113,7 +115,7 @@ class GradedQuotient:
         raise PreconditionError(f"degree {j} beyond the computed bound {self.bound}")
 
     def dim(self, j):
-        return self.bases[j].dim
+        return monomial_count(self.nvars, j) - self.hf(j)
 
     def contains(self, poly):
         poly.check_ring(self.nvars, self.field)
@@ -151,7 +153,7 @@ class GradedQuotient:
 
     def mult_variable(self, v, j):
         """Matrix of multiplication by x_v from degree j to j+1, columns over std monomials."""
-        standard = exponent_array(self.nvars, j)[list(self.bases[j].support)]
+        standard = exponent_array(self.nvars, j)[self.bases[j].support]
         shift = product_positions(standard, np.eye(1, self.nvars, v, dtype=np.int64))[:, 0]
         return self.class_matrix(j + 1)[shift].T.copy()
 
@@ -169,7 +171,7 @@ class GradedQuotient:
 
     def products_class_matrix(self, g, k, monos=None):
         """Rows = class of (m * g) in degree k + deg g, m over the degree-k
-        monomials, or over those at the positions `monos` when given.
+        monomials, or over those at the positions in the array or list `monos`.
 
         A term of m * g on a support column of the target basis is its own
         coordinate, written into place: the terms of one row sit at distinct
@@ -180,7 +182,7 @@ class GradedQuotient:
         nonzero tail, as a monomial ideal's, forms no product."""
         exps = exponent_array(self.nvars, k)
         if monos is not None:
-            exps = exps[list(monos)]
+            exps = exps[monos]
         fld, base = self.field, self.bases[k + g.degree]
         at = product_positions(exps, g.exponents())
 
@@ -193,10 +195,10 @@ class GradedQuotient:
             out[rows, hit[rows, t]] = g.values[t]
             return out
 
-        out = scatter(list(base.support))
+        out = scatter(base.support)
         live = np.flatnonzero(np.count_nonzero(base.tails, axis=1))
         if live.size:
-            out = fld.sub_matmul(out, scatter(np.array(base.pivots, np.int64)[live]), base.tails[live])
+            out = fld.sub_matmul(out, scatter(base.pivots[live]), base.tails[live])
         return out
 
     def mult_poly(self, g, j):
@@ -211,7 +213,8 @@ def default_artinian_bound(gens):
 
 def ideal_slices(gens, max_degree=None):
     """R/(gens) as a GradedQuotient with bases through `max_degree`, by default
-    a degree by which an Artinian quotient has vanished."""
+    a degree by which an Artinian quotient has vanished, or through the first
+    degree where R/I vanishes, if that comes first."""
     gens = list(gens)
     nvars, field = ring_of(gens)
     if max_degree is None:
@@ -221,9 +224,7 @@ def ideal_slices(gens, max_degree=None):
     bases = {}
     for j in range(max_degree + 1):
         bases[j] = slice_at_degree(gens, j, nvars, field)
-        if bases[j].codim == 0 and j < max_degree:
-            for k in range(j + 1, max_degree + 1):
-                bases[k] = RowBasis.full(monomial_count(nvars, k), field)
+        if bases[j].codim == 0:
             break
     return GradedQuotient(nvars, field, bases)
 
@@ -256,11 +257,11 @@ def minimal_generators(ideal):
         prev = ideal.bases.get(j - 1)
         if prev is not None and prev.dim:
             coord = np.full(base.ncols, -1)
-            coord[list(base.pivots)] = np.arange(base.dim)[::-1]
+            coord[base.pivots] = np.arange(base.dim)[::-1]
             # prev's basis rows as coordinates: 1 at each pivot, then the tails
             r, s = np.nonzero(prev.tails.astype(bool))
             rows = np.concatenate([np.arange(prev.dim), r])
-            cols = np.concatenate([prev.pivots, np.array(prev.support, np.int64)[s]])
+            cols = np.concatenate([prev.pivots, prev.support[s]])
             vals = np.concatenate([np.full(prev.dim, field.one), prev.tails[r, s]])
             # shifted by each variable; what lands off I_j's pivots is no coordinate
             shifts = product_positions(exponent_array(nvars, j - 1), np.eye(nvars, dtype=np.int64))
@@ -269,10 +270,10 @@ def minimal_generators(ideal):
             rows, cols = v * prev.dim + rows[e], at[e, v]
             order = np.lexsort((cols, rows))
             spanned.absorb(SparseRows(nvars * prev.dim, rows[order], cols[order], vals[e][order]))
-        new = [base.dim - 1 - c for c in reversed(spanned.support)]
-        gens = field.zeros((len(new), base.ncols))
-        gens[np.arange(len(new)), np.array(base.pivots, np.int64)[new]] = field.one
-        gens[:, list(base.support)] = base.tails[new]
+        new = base.dim - 1 - spanned.support[::-1]
+        gens = field.zeros((new.size, base.ncols))
+        gens[np.arange(new.size), base.pivots[new]] = field.one
+        gens[:, base.support] = base.tails[new]
         for row in gens:
             out.append(Polynomial.from_vector(row, nvars, j, field))
     return out
@@ -386,11 +387,8 @@ def colon_ideal(gens, f):
     bases = {}
     for j in range(max_degree + 1):
         ncols = monomial_count(nvars, j)
-        h = quot.hf(j + df)
-        if h == 0:
-            bases[j] = RowBasis.full(ncols, field)
-            continue
-        bases[j] = _kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
+        bases[j] = (_kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
+                    if quot.hf(j + df) else RowBasis.full(ncols, field))
     return GradedQuotient(nvars, field, bases)
 
 

@@ -216,9 +216,8 @@ def check_xn_regular(ds, field=GF_DEFAULT):
             if k < 0:
                 rank_cache[key] = 0
             else:
-                mat = quot_j.products_class_matrix(g, k)
                 h = quot_j.hf(k + g.degree)
-                rank_cache[key] = rank_of_rows(mat, h, field) if h else 0
+                rank_cache[key] = h and rank_of_rows(quot_j.products_class_matrix(g, k), h, field)
         return rank_cache[key]
 
     red_vals = red.hilbert() + [0] * (bound + 1)
@@ -255,11 +254,8 @@ def check_colon_equals_plus(ds, field=GF_DEFAULT):
         nmon = [monomial_count(n, j) for j in range(s + 3)]
         ranks = []
         for j in range(s + 2):
-            if quot.hf(j + 1) == 0:
-                ranks.append(0)
-                continue
-            mat = quot.products_class_matrix(xn_poly, j)
-            ranks.append(rank_of_rows(mat, quot.hf(j + 1), field))
+            h = quot.hf(j + 1)
+            ranks.append(h and rank_of_rows(quot.products_class_matrix(xn_poly, j), h, field))
         for j in range(s + 2):
             colon_dim = nmon[j] - ranks[j]
             plus_dim = quot.dim(j) + (ranks[j - 1] if j else 0)
@@ -271,7 +267,7 @@ def check_colon_equals_plus(ds, field=GF_DEFAULT):
 
     quot_i = ideal_slices(gens)
     plus = ideal_slices(gens + [xn_poly], max_degree=quot_i.socle_degree + 1)
-    plus_dims = [plus.dim(j) for j in range(plus.bound + 1)]
+    plus_dims = [plus.dim(j) for j in range(quot_i.socle_degree + 2)]
     if not colon_vs_plus(quot_i, plus_dims):
         return False
     return colon_vs_plus(linked_ideal(normalized, field), None)

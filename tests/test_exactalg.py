@@ -40,12 +40,12 @@ FIELDS = (QQ, GF_DEFAULT, GF_PARANOIA)
 
 def test_rref_identity():
     basis = RowBasis.from_rows([[1, 0], [0, 1]], 2, QQ)
-    assert basis.dim == 2 and basis.pivots == (0, 1) and basis.support == ()
+    assert basis.dim == 2 and basis.pivots.tolist() == [0, 1] and basis.support.tolist() == []
 
 
 def test_rref_zero_matrix():
     basis = RowBasis.from_rows(QQ.zeros((3, 4)), 4, QQ)
-    assert basis.dim == 0 and basis.pivots == () and basis.support == (0, 1, 2, 3)
+    assert basis.dim == 0 and basis.pivots.tolist() == [] and basis.support.tolist() == [0, 1, 2, 3]
 
 
 def test_rref_proportional_rows():
@@ -60,7 +60,7 @@ def test_kernel_identity_empty():
 
 def test_kernel_one_one():
     kernel = _kernel_row_basis([[1, 1]], 2, QQ)
-    assert kernel.pivots == (1,) and kernel.full_rows().tolist() == [[Fraction(-1), Fraction(1)]]
+    assert kernel.pivots.tolist() == [1] and kernel.full_rows().tolist() == [[Fraction(-1), Fraction(1)]]
 
 
 def test_kernel_rank_one():
@@ -115,7 +115,8 @@ def test_rank_nullity_and_idempotence(rows):
         basis = RowBasis.from_rows(rows, ncols, field)
         assert basis.dim + _kernel_row_basis(rows, ncols, field).dim == ncols
         again = RowBasis.from_rows(basis.full_rows(), ncols, field)
-        assert again.pivots == basis.pivots and again.tails.tolist() == basis.tails.tolist()
+        assert again.pivots.tolist() == basis.pivots.tolist()
+        assert again.tails.tolist() == basis.tails.tolist()
 
 
 def _rref_reference(rows):
@@ -156,8 +157,17 @@ def test_rank_agrees_over_fields(rows):
     assert list(qq.pivots) == pivots
     assert qq.tails.tolist() == [[row[c] for c in qq.support] for row in reduced]
     for f in FIELDS[1:]:
-        assert bases[f].pivots == qq.pivots
+        assert bases[f].pivots.tolist() == qq.pivots.tolist()
         assert [[f.coerce(x) for x in row] for row in qq.tails] == bases[f].tails.tolist()
+
+
+def _assert_index_arrays(basis):
+    """`pivots` and `support` are ascending int64 arrays that split the
+    columns: disjoint, with union range(ncols)."""
+    for index in (basis.pivots, basis.support):
+        assert isinstance(index, np.ndarray) and index.dtype == np.int64 and index.ndim == 1
+        assert (np.diff(index) > 0).all()
+    assert sorted(basis.pivots.tolist() + basis.support.tolist()) == list(range(basis.ncols))
 
 
 row_blocks = st.integers(1, 5).flatmap(
@@ -181,8 +191,11 @@ def test_block_accumulator_matches_from_rows(rows_and_cuts):
             added = acc.absorb(_sparse(f.array(block, ncols)))
             assert added == (acc.dim - before or None)
         want = RowBasis.from_rows(rows, ncols, f)
+        for basis in (acc, want):
+            _assert_index_arrays(basis)
         assert acc.dim == want.dim
-        assert acc.pivots == want.pivots and acc.support == want.support
+        assert acc.pivots.tolist() == want.pivots.tolist()
+        assert acc.support.tolist() == want.support.tolist()
         assert acc.tails.tolist() == want.tails.tolist()
 
 
@@ -826,7 +839,8 @@ def test_sparse_absorb_matches_from_rows(a, cut):
         added = acc.absorb(_sparse(dense[cut:]))
         want = RowBasis.from_rows(a, ncols, field)
         assert added == (want.dim - before or None)
-        assert acc.pivots == want.pivots and acc.support == want.support
+        assert acc.pivots.tolist() == want.pivots.tolist()
+        assert acc.support.tolist() == want.support.tolist()
         assert acc.tails.tolist() == want.tails.tolist()
 
 
@@ -850,4 +864,5 @@ def test_sparse_rref_recurses_falls_back_and_solves(monkeypatch):
         # the tails of both upper levels are solved, each through a level step
         assert [(shape[1], steps > 0) for shape, steps in solves[-2:]] == [(12, True), (30, True)]
         want = RowBasis.from_rows(a, 50, field)
-        assert acc.pivots == want.pivots and acc.tails.tolist() == want.tails.tolist()
+        assert acc.pivots.tolist() == want.pivots.tolist()
+        assert acc.tails.tolist() == want.tails.tolist()

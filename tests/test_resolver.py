@@ -36,7 +36,7 @@ from bettiforge.errors import (
 )
 from bettiforge import exactalg, resolver
 from bettiforge.exactalg import SparseRows, rank_of_rows
-from bettiforge.polyring import dot, macaulay_columns, power_ideal
+from bettiforge.polyring import dot, macaulay_columns, monomial_count, power_ideal
 
 from helpers import (
     FIELDS,
@@ -363,6 +363,20 @@ def test_slices_beyond_bound_raise():
     slices = ideal_slices([vp(0, 2, 2)], max_degree=3)
     with pytest.raises(PreconditionError):
         slices.hf(5)
+
+
+def test_bases_end_at_the_vanishing_witness():
+    # R/I vanishes first in degree v (read off each slice on its own): the
+    # bases stop there, and every later degree up to the bound reads as all
+    # of R with no basis of its own
+    gens = power_ideal((2, 2, 2), 2, GF_DEFAULT)
+    slices = ideal_slices(gens, max_degree=6)
+    v = next(j for j in range(7) if resolver.slice_at_degree(gens, j, 3, GF_DEFAULT).codim == 0)
+    assert v < 6 and sorted(slices.bases) == list(range(v + 1))
+    for j in range(v + 1, 7):
+        assert slices.hf(j) == 0 and slices.dim(j) == monomial_count(3, j)
+        assert slices.contains(vp(0, j, 3, GF_DEFAULT))
+        assert slices.contains(power_of_linear([1, 2, 3], j, GF_DEFAULT))
 
 
 def _greedy_generators_reference(slices):
