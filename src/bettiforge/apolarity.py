@@ -52,15 +52,17 @@ def annihilator(dual_form):
     nvars, field = dual_form.nvars, dual_form.field
     _guard_characteristic(field, e)
     coeffs = dual_form.to_vector()
-    bases = {}
-    for j in range(e + 1):
+
+    def basis_at(j):
+        if j > e:
+            return RowBasis.full(monomial_count(nvars, j), field)
         monos, duals = exponent_array(nvars, j), exponent_array(nvars, e - j)
         weights = falling_weights(monos[:, None] + duals[None], monos[:, None], field)
         # residues below p < 2**31: the product fits int64 and is reduced at once
         rows = field.reduce(coeffs[product_positions(monos, duals)] * weights).T
-        bases[j] = _kernel_row_basis(rows, len(monos), field)
-    bases[e + 1] = RowBasis.full(monomial_count(nvars, e + 1), field)
-    quot = GradedQuotient(nvars, field, bases)
+        return _kernel_row_basis(rows, len(monos), field)
+
+    quot = GradedQuotient(nvars, field, basis_at, e + 1)
     if quot.hf(e) != 1:
         raise ConsistencyError("apolar algebra must have a one-dimensional socle degree piece")
     return quot

@@ -371,7 +371,7 @@ COMMANDS = (
       ("--colon", {"action": "store_true", "help": "resolve the linked colon quotient instead"}),
       "--field", "--format")),
     (("colon",), "the linked colon ideal: Hilbert function and generators", _cmd_colon, {},
-     IDEAL + (("--f", {"help": "colon by this polynomial instead of ell^e"}),)),
+     IDEAL + (("--f", {"help": "the ideal (x_i^d_i, ell^e) : f instead of the link"}),)),
     (("annihilator",), "apolar ideal of a dual form", _cmd_annihilator, {},
      (("--form", {"required": True}), "--nvars", "--field", "--format")),
     (("esym", "gens"), None, _cmd_esym, {}, ESYM + ("--field", TEXT_OR_JSON)),

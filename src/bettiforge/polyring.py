@@ -369,6 +369,20 @@ def macaulay_columns(generators, j):
     return cols
 
 
+def multiples_matrix(g, monos, columns, ncols):
+    """Field array whose row m holds the coefficients of x^m * g, m over the
+    rows of the exponent array `monos`, at the positions `columns` among the
+    `ncols` monomials of degree deg m + deg g.  The terms of one product sit
+    at distinct monomials, so nothing is summed; terms elsewhere are dropped."""
+    coord = np.full(ncols, -1)
+    coord[columns] = np.arange(len(columns))
+    at = coord[product_positions(monos, g.exponents())]
+    rows, t = np.nonzero(at >= 0)
+    out = g.field.zeros((len(monos), len(columns)))
+    out[rows, at[rows, t]] = g.values[t]
+    return out
+
+
 def macaulay_matrix(generators, j):
     """Field array whose column space is the degree-j slice of the generated ideal.
 
@@ -377,15 +391,9 @@ def macaulay_matrix(generators, j):
     """
     nvars, field = ring_of(generators)
     nrows = monomial_count(nvars, j)
-    blocks = [field.zeros((nrows, 0))]
-    for g in generators:
-        if g.is_zero() or g.degree > j:
-            continue
-        rows = product_positions(exponent_array(nvars, j - g.degree), g.exponents())
-        block = field.zeros((nrows, len(rows)))
-        block[rows, np.arange(len(rows))[:, None]] = g.values
-        blocks.append(block)
-    return np.concatenate(blocks, axis=1)
+    blocks = [multiples_matrix(g, exponent_array(nvars, j - g.degree), np.arange(nrows), nrows).T
+              for g in generators if not g.is_zero() and g.degree <= j]
+    return np.concatenate([field.zeros((nrows, 0)), *blocks], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 `GradedQuotient` is the one graded object for an ideal I and its quotient
 R/I: I's reduced basis in each degree and, read off those bases, the Hilbert
-function, socle degree, class matrices and multiplication maps of R/I.
-`ideal_slices` builds it from generators, `colon_ideal` and `linked_ideal`
-from a colon, and `apolarity.annihilator` from a dual form. Minimal
-generators, socles and graded Betti numbers are read from it; first syzygies
-and ideal membership work on the generators directly.
+function, socle degree, class matrices and multiplication maps of R/I.  Its
+constructor asks a builder for one basis per degree and ends them where R/I
+vanishes; `ideal_slices` builds from generators (`slice_at_degree`),
+`colon_ideal` and `linked_ideal` from a colon, and `apolarity.annihilator`
+from a dual form.  Minimal generators, socles and graded Betti numbers are
+read from it; first syzygies and ideal membership work on the generators.
 
 The ring comes from the polynomials: every public function here that takes
 generators reads (nvars, field) off them with `polyring.ring_of`, which
@@ -39,6 +40,7 @@ from .polyring import (
     macaulay_columns,
     macaulay_matrix,
     monomial_count,
+    multiples_matrix,
     power_ideal,
     product_positions,
     ring_of,
@@ -64,18 +66,12 @@ def slice_at_degree(gens, j, nvars, field):
     if mono_gens:
         hit = (exps[:, None, :] >= np.array(mono_gens)[None]).all(axis=2).any(axis=1)
     mono_pivots, candidates = np.flatnonzero(hit), np.flatnonzero(~hit)
-    cand_pos = np.full(len(exps), -1)
-    cand_pos[candidates] = np.arange(len(candidates))
 
     blocks = [field.zeros((0, len(candidates)))]
     for g in dense_gens:
-        if g.degree > j:
-            continue
-        cols = cand_pos[product_positions(exponent_array(nvars, j - g.degree), g.exponents())]
-        block = field.zeros((len(cols), len(candidates)))
-        rows, t = np.nonzero(cols >= 0)
-        block[rows, cols[rows, t]] = g.values[t]
-        blocks.append(block[(cols >= 0).any(axis=1)])
+        if g.degree <= j:
+            block = multiples_matrix(g, exponent_array(nvars, j - g.degree), candidates, len(exps))
+            blocks.append(block[np.count_nonzero(block, axis=1) > 0])
 
     block = RowBasis.from_rows(np.concatenate(blocks), len(candidates), field)
     pivots = np.concatenate([mono_pivots, candidates[block.pivots]])
@@ -85,7 +81,7 @@ def slice_at_degree(gens, j, nvars, field):
 
 
 class GradedQuotient:
-    """A homogeneous ideal I and its quotient R/I, degree by degree up to `bound`.
+    """A homogeneous ideal I and its quotient R/I, degree by degree up to `top`.
 
     The ideal side is I's reduced basis in each degree (`bases`, `dim`,
     `contains`). The quotient side reads its standard monomials off those
@@ -93,16 +89,24 @@ class GradedQuotient:
     class matrix sending each monomial to its residue coordinates, and
     multiplication maps between graded pieces.
 
-    The bases end at the first degree where R/I vanishes, the witness that I
-    holds every later degree: past it `hf` reads 0, `dim` (read off `hf`) the
-    monomial count, and `contains` True, with no basis to read.
+    The constructor asks `basis_at(j)` for I's basis in degree j = 0, 1, ..,
+    `top` and stops at the first where R/I vanishes, the witness that I holds
+    every later degree: past it `hf` reads 0, `dim` (read off `hf`) the
+    monomial count, and `contains` True, with no basis to read.  `bound` is
+    that witness when R/I is `artinian` within `top`, else `top`.
     """
 
-    def __init__(self, nvars, field, bases):
+    def __init__(self, nvars, field, basis_at, top):
+        if top < 0:
+            raise PreconditionError(f"a quotient needs a degree bound of at least 0, not {top}")
         self.nvars = nvars
         self.field = field
-        self.bases = dict(bases)
-        self.bound = max(self.bases) if self.bases else -1
+        self.bases = {}
+        for j in range(top + 1):
+            self.bases[j] = basis_at(j)
+            if self.bases[j].codim == 0:
+                break
+        self.bound, self.artinian = j, self.bases[j].codim == 0
         self._classes = {}
         self._mult_nonzeros = {}
 
@@ -110,7 +114,7 @@ class GradedQuotient:
         """Is degree j computed? Past the bound only if R/I already vanished there."""
         if j <= self.bound:
             return True
-        if self.bases[self.bound].codim == 0:
+        if self.artinian:
             return False
         raise PreconditionError(f"degree {j} beyond the computed bound {self.bound}")
 
@@ -129,16 +133,11 @@ class GradedQuotient:
         return self.bases[j].codim
 
     @property
-    def artinian(self):
-        """Has R/I vanished inside the bound?"""
-        return any(base.codim == 0 for base in self.bases.values())
-
-    @property
     def socle_degree(self):
         """Top degree with nonzero quotient; requires vanishing inside the bound."""
         if not self.artinian:
             raise NonArtinianError("quotient did not vanish inside the computed bound")
-        return max((j for j in self.bases if self.bases[j].codim > 0), default=0)
+        return max(self.bound - 1, 0)
 
     def hilbert(self):
         """The Hilbert function through the socle degree, or through the bound
@@ -173,33 +172,22 @@ class GradedQuotient:
         """Rows = class of (m * g) in degree k + deg g, m over the degree-k
         monomials, or over those at the positions in the array or list `monos`.
 
-        A term of m * g on a support column of the target basis is its own
-        coordinate, written into place: the terms of one row sit at distinct
-        monomials, so nothing is summed.  A pivot's class is minus its tail,
-        so the terms on pivots with a nonzero tail are gathered into W, and
-        the rows are finished by one `sub_matmul` by those tails, exact by
-        the field's product (`_sub_mod` over GF(p)).  A basis with no
-        nonzero tail, as a monomial ideal's, forms no product."""
+        One `multiples_matrix` lays out m * g on two column ranges of the
+        target basis: its support columns, where a term is its own
+        coordinate, then the pivots with a nonzero tail.  A pivot's class is
+        minus its tail, so the rows are finished by one `sub_matmul` of the
+        second range by those tails into the first, exact by the field's
+        product (`_sub_mod` over GF(p)).  A basis with no nonzero tail, as a
+        monomial ideal's, forms no product."""
         exps = exponent_array(self.nvars, k)
         if monos is not None:
             exps = exps[monos]
-        fld, base = self.field, self.bases[k + g.degree]
-        at = product_positions(exps, g.exponents())
-
-        def scatter(cols):
-            coord = np.full(base.ncols, -1)
-            coord[cols] = np.arange(len(cols))
-            hit = coord[at]
-            rows, t = np.nonzero(hit >= 0)
-            out = fld.zeros((len(exps), len(cols)))
-            out[rows, hit[rows, t]] = g.values[t]
-            return out
-
-        out = scatter(base.support)
+        base = self.bases[k + g.degree]
         live = np.flatnonzero(np.count_nonzero(base.tails, axis=1))
-        if live.size:
-            out = fld.sub_matmul(out, scatter(base.pivots[live]), base.tails[live])
-        return out
+        cols = np.concatenate([base.support, base.pivots[live]])
+        out = multiples_matrix(g, exps, cols, base.ncols)
+        on_support, on_pivots = out[:, :len(base.support)], out[:, len(base.support):]
+        return self.field.sub_matmul(on_support, on_pivots, base.tails[live]) if live.size else out
 
     def mult_poly(self, g, j):
         """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
@@ -221,12 +209,8 @@ def ideal_slices(gens, max_degree=None):
         if len(gens) < nvars:
             raise NonArtinianError("fewer generators than variables can never be Artinian")
         max_degree = default_artinian_bound(gens)
-    bases = {}
-    for j in range(max_degree + 1):
-        bases[j] = slice_at_degree(gens, j, nvars, field)
-        if bases[j].codim == 0:
-            break
-    return GradedQuotient(nvars, field, bases)
+    return GradedQuotient(nvars, field, lambda j: slice_at_degree(gens, j, nvars, field),
+                          max_degree)
 
 
 def quotient_model(source):
@@ -249,8 +233,7 @@ def minimal_generators(ideal):
     """
     nvars, field = ideal.nvars, ideal.field
     out = []
-    for j in range(ideal.bound + 1):
-        base = ideal.bases[j]
+    for j, base in ideal.bases.items():
         if base.dim == 0:
             continue
         spanned = Accumulator(base.dim, field)
@@ -374,22 +357,21 @@ def _kernel_row_basis(matrix_rows, ncols, field):
 def colon_ideal(gens, f):
     """Degreewise ((gens) : f): the kernel of multiply-by-f into the quotient.
 
-    The generators must span an Artinian ideal; the colon's slices reach one
-    degree past where it becomes the whole ring.
+    The generators must span an Artinian ideal; the colon is the whole ring
+    from degree socle(R/(gens)) - deg f + 1 on, or earlier.
     """
     if f.is_zero():
         raise PreconditionError("cannot colon by the zero polynomial")
     gens = list(gens)
     nvars, field = ring_of([*gens, f])
-    df = f.degree
     quot = ideal_slices(gens)
-    max_degree = max(0, quot.socle_degree - df + 1)
-    bases = {}
-    for j in range(max_degree + 1):
+
+    def basis_at(j):
         ncols = monomial_count(nvars, j)
-        bases[j] = (_kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
-                    if quot.hf(j + df) else RowBasis.full(ncols, field))
-    return GradedQuotient(nvars, field, bases)
+        return (_kernel_row_basis(quot.products_class_matrix(f, j).T, ncols, field)
+                if quot.hf(j + f.degree) else RowBasis.full(ncols, field))
+
+    return GradedQuotient(nvars, field, basis_at, max(0, quot.socle_degree - f.degree + 1))
 
 
 def linked_ideal(ds, field):
@@ -410,17 +392,13 @@ class SocleReport:
 
 
 def socle_dims(source):
-    """Per-degree dimensions of (0 : m) in the quotient, plus the levelness verdict."""
+    """Per-degree dimensions of (0 : m) in the quotient, plus the levelness verdict:
+    in degree j, the kernel of the top Koszul differential, R/I in degree j to
+    n copies of degree j + 1 by ±x_1, .., ±x_n."""
     quot = quotient_model(source)
-    s = quot.socle_degree
-    n = quot.nvars
     dims = {}
-    for j in range(s + 1):
-        h = quot.hf(j)
-        if h == 0:
-            continue
-        stacked = np.vstack([quot.mult_variable(v, j) for v in range(n)])
-        dim = h - rank_of_rows(stacked, h, quot.field)
+    for j in range(quot.socle_degree + 1):
+        dim = quot.hf(j) - _koszul_differential_rank(quot, quot.nvars, j + quot.nvars)
         if dim:
             dims[j] = dim
     return SocleReport(dims, len(dims) == 1)

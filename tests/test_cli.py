@@ -362,6 +362,19 @@ def test_colon_by_a_form_past_the_socle_is_the_unit_ideal(capsys):
     assert capsys.readouterr() == unit == ("0\n1\n", "")
 
 
+def test_colon_by_a_form_colons_the_ideal_with_ell_power(capsys, monkeypatch):
+    # --f colons (x_i^d_i, ell^e), not (x_i^d_i): by f = ell^2 = (x1 + x2)^2
+    # it is the unit ideal, where the link (x_i^d_i) : ell^2 is not
+    argv = ["colon", "--degrees", "3,3", "--ell-power", "2"]
+    assert main(argv + ["--f", "x1^2+2*x1*x2+x2^2"]) == 0
+    assert capsys.readouterr() == ("0\n1\n", "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("1 2 1\n")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["colon", "-h"]) == 0
+    assert "the ideal (x_i^d_i, ell^e) : f instead of the link" in capsys.readouterr().out
+
+
 E3 = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
 ESYM_5_2 = """\
 x1^2

@@ -10,6 +10,7 @@ from bettiforge import (
     DegreeSequence,
     Polynomial,
     PrimeField,
+    annihilator,
     betti_aci_odd,
     betti_formula,
     betti_from_quotient,
@@ -377,6 +378,36 @@ def test_bases_end_at_the_vanishing_witness():
         assert slices.hf(j) == 0 and slices.dim(j) == monomial_count(3, j)
         assert slices.contains(vp(0, j, 3, GF_DEFAULT))
         assert slices.contains(power_of_linear([1, 2, 3], j, GF_DEFAULT))
+
+
+def test_a_negative_bound_is_refused():
+    with pytest.raises(PreconditionError, match="degree bound of at least 0"):
+        ideal_slices(power_ideal((2, 2, 2), 2, GF_DEFAULT), max_degree=-1)
+
+
+def _x(expo):
+    return Polynomial.monomial(expo, GF_DEFAULT)
+
+
+@pytest.mark.parametrize("build,witness", [
+    # (x1^2, x1*x2, x2^3) : x1 = (x1, x2), all of R from degree 1 on
+    (lambda: colon_ideal([_x((2, 0)), _x((1, 1)), _x((0, 3))], _x((1, 0))), 1),
+    (lambda: colon_ideal(power_ideal((3, 3, 2), 2, GF_DEFAULT), _x((1, 0, 0))), None),
+    (lambda: linked_ideal(DegreeSequence(3, (3, 3, 3), 2), GF_DEFAULT), None),
+    (lambda: annihilator(parse_polynomial("x1^2*x2 + x3^3 - x1*x2*x3", 3, GF_DEFAULT)), 4),
+    (lambda: ideal_slices(power_ideal((2, 2, 2), 2, GF_DEFAULT)), None),
+], ids=["colon-by-x1", "colon-332", "link-333", "annihilator", "slices"])
+def test_every_builder_ends_its_bases_at_the_vanishing_witness(build, witness):
+    # the bases run through the first degree where R/I vanishes and no
+    # further; `artinian` and `socle_degree` agree with a scan of hf
+    quot = build()
+    codims = [quot.bases[j].codim for j in sorted(quot.bases)]
+    v = codims.index(0)
+    assert sorted(quot.bases) == list(range(v + 1)) and witness in (None, v)
+    hf = [quot.hf(j) for j in range(v + 3)]
+    assert hf[:v + 1] == codims and not any(hf[v:])
+    assert quot.artinian == (0 in hf)
+    assert quot.socle_degree == max((j for j, h in enumerate(hf) if h), default=0)
 
 
 def _greedy_generators_reference(slices):
