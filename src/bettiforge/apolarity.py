@@ -5,8 +5,9 @@ and weak/strong Lefschetz rank checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
+from operator import mul
 
 from .errors import ConsistencyError, NonArtinianError, PreconditionError, UnitIdealError
 from .exactalg import QQ, RowBasis, rank_of_rows
@@ -145,12 +146,10 @@ def lefschetz_check(source, ell=None, mode="SLP"):
     so is every lower power, and if ℓ^J maps A_{t−J} onto A_t, so does
     every lower power ℓ^j from A_{t−j}.  The source degrees i go up, so a
     map found onto A_t was by a higher power than any later one into A_t.
-    Per degree i, the chain ℓ, ℓ^2, .., ℓ^need on A_i is built, one product
-    by the map by ℓ per power, up to the highest power into an A_t not yet
-    reached onto, and dropped before the next degree.  Going down from
-    `need`, a rank is h_i under an injective power, h_t into a reached A_t,
-    and ranked otherwise; each rank records what it shows.  A = R/I is
-    generated by A_1, so no h_i in the socle range is 0.
+    Per degree i, going down from the highest power, a rank is h_i under an
+    injective power, h_t into a reached A_t, and otherwise the rank of the
+    map by ℓ^j itself (`mult_poly`); each rank records what it shows.
+    A = R/I is generated by A_1, so no h_i in the socle range is 0.
     """
     mode = mode.upper()
     if mode not in ("SLP", "WLP"):
@@ -158,34 +157,28 @@ def lefschetz_check(source, ell=None, mode="SLP"):
     if ell is not None and ell.degree != 1:
         raise PreconditionError("the Lefschetz element must be a nonzero linear form")
     quot = quotient_model(source)
-    if not quot.artinian:
-        raise NonArtinianError("Lefschetz checks need an Artinian quotient")
     n, fld = quot.nvars, quot.field
-    s = quot.socle_degree
-    _guard_characteristic(fld, max(s, 1))
     if ell is None:
         ell = standard_linear_form(n, fld)
+    ell.check_ring(n, fld)
+    if not quot.artinian:
+        raise NonArtinianError("Lefschetz checks need an Artinian quotient")
+    s = quot.socle_degree
+    _guard_characteristic(fld, max(s, 1))
     top = 1 if mode == "WLP" else s
     h = [quot.hf(d) for d in range(s + 1)]
-    step = [quot.mult_poly(ell, d) for d in range(s)]
+    power = list(accumulate([ell] * top, mul))
     onto = set()
     ranks = {}
     for i in range(s):
-        powers = range(1, min(top, s - i) + 1)
-        need = max((j for j in powers if i + j not in onto), default=0)
-        chain = [step[i]]
-        for j in range(2, need + 1):
-            # 0 - step·chain: the sign flips with each power, which leaves
-            # every rank as it is
-            chain.append(fld.sub_matmul(fld.zeros((h[i + j], h[i])), step[i + j - 1], chain[-1]))
         injective = False
-        for j in reversed(powers):
+        for j in reversed(range(1, min(top, s - i) + 1)):
             if injective:
                 rank = h[i]
             elif i + j in onto:
                 rank = h[i + j]
             else:
-                rank = rank_of_rows(chain[j - 1], h[i], fld)
+                rank = rank_of_rows(quot.mult_poly(power[j - 1], i), h[i + j], fld)
             injective = rank == h[i]
             if rank == h[i + j]:
                 onto.add(i + j)
@@ -221,7 +214,7 @@ def semiregularity_check(gens):
             h0, h1 = quot.hf(i), quot.hf(i + d)
             if not h0 or not h1:
                 continue
-            rank = 0 if g.is_zero() else rank_of_rows(quot.mult_poly(g, i), h0, field)
+            rank = 0 if g.is_zero() else rank_of_rows(quot.mult_poly(g, i), h1, field)
             if rank != min(h0, h1):
                 return False
     return True

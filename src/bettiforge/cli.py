@@ -20,7 +20,7 @@ import sys
 from .apolarity import annihilator, lefschetz_check
 from .errors import BettiForgeError, ConsistencyError, PreconditionError
 from .exactalg import field_from_spec
-from .formulas import BettiTable, betti_formula
+from .formulas import betti_formula
 from .hilbert import (
     DegreeSequence,
     ci_hilbert,
@@ -76,13 +76,6 @@ def betti_to_json_dict(table, nvars):
         "socle_degree": table.max_row,
         "entries": [{"i": i, "j": j, "beta": v} for (i, j), v in table.items()],
     }
-
-
-def betti_from_json_dict(data):
-    table = BettiTable()
-    for entry in data["entries"]:
-        table.set(entry["i"], entry["j"], entry["beta"])
-    return table
 
 
 def render_betti_csv(table):

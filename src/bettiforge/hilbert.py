@@ -187,7 +187,3 @@ def series_numerator(series, nvars):
         for k in range(nvars + 1):
             out[j + k] += v * ((-1) ** k) * comb(nvars, k)
     return out
-
-
-def is_symmetric(series):
-    return list(series) == list(reversed(list(series)))

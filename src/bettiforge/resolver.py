@@ -190,8 +190,12 @@ class GradedQuotient:
         return self.field.sub_matmul(on_support, on_pivots, base.tails[live]) if live.size else out
 
     def mult_poly(self, g, j):
-        """Matrix of multiplication by homogeneous g from degree j to j + deg g."""
-        return self.products_class_matrix(g, j, self.bases[j].support).T.copy()
+        """The map by homogeneous g from R/I in degree j to degree j + deg g:
+        one row per standard monomial m of degree j, in support order, holding
+        the class of m * g over the hf(j + deg g) standard monomials of the
+        target.  Its rank is that of `products_class_matrix(g, j)`, whose other
+        rows are combinations of these, since I_j * g lies in I."""
+        return self.products_class_matrix(g, j, self.bases[j].support)
 
 
 def default_artinian_bound(gens):

@@ -207,31 +207,21 @@ def check_xn_regular(ds, field=GF_DEFAULT):
         if quot_j.hf(j) - quot_j.hf(j - 1) != grid_vals[j]:
             return False
 
-    xn_poly = Polynomial.variable(n - 1, n, field)
-    rank_cache = {}
+    def image_ranks(g, top):
+        """Rank of the map by g on the lifted quotient from each degree 0..top."""
+        return [(h := quot_j.hf(k + g.degree)) and rank_of_rows(quot_j.mult_poly(g, k), h, field)
+                for k in range(top + 1)]
 
-    def image_rank(g, k):
-        key = (int(g.positions[0]), g.degree, k)
-        if key not in rank_cache:
-            if k < 0:
-                rank_cache[key] = 0
-            else:
-                h = quot_j.hf(k + g.degree)
-                rank_cache[key] = h and rank_of_rows(quot_j.products_class_matrix(g, k), h, field)
-        return rank_cache[key]
-
+    f_ranks = image_ranks(f_ell, bound - e)
     red_vals = red.hilbert() + [0] * (bound + 1)
-    hf_i = [quot_j.hf(j) - image_rank(f_ell, j - e) for j in range(bound + 1)]
+    hf_i = [quot_j.hf(j) - (f_ranks[j - e] if j >= e else 0) for j in range(bound + 1)]
     for j in range(bound + 1):
         prev = hf_i[j - 1] if j else 0
         if hf_i[j] - prev != red_vals[j]:
             return False
 
-    xnf = xn_poly * f_ell
-    for j in range(1, tau - e + 3):
-        if image_rank(xnf, j - 1) != image_rank(f_ell, j - 1):
-            return False
-    return True
+    xnf = Polynomial.variable(n - 1, n, field) * f_ell
+    return image_ranks(xnf, tau - e + 1) == f_ranks[:tau - e + 2]
 
 
 def check_colon_equals_plus(ds, field=GF_DEFAULT):
@@ -255,7 +245,7 @@ def check_colon_equals_plus(ds, field=GF_DEFAULT):
         ranks = []
         for j in range(s + 2):
             h = quot.hf(j + 1)
-            ranks.append(h and rank_of_rows(quot.products_class_matrix(xn_poly, j), h, field))
+            ranks.append(h and rank_of_rows(quot.mult_poly(xn_poly, j), h, field))
         for j in range(s + 2):
             colon_dim = nmon[j] - ranks[j]
             plus_dim = quot.dim(j) + (ranks[j - 1] if j else 0)

@@ -99,6 +99,10 @@ def renamed_oracle_table(ds, kind):
     return oracle_table(ds.nvars, tuple(sorted(ds.degrees)), ds.ell_power, kind)
 
 
+def is_symmetric(series):
+    return list(series) == list(reversed(list(series)))
+
+
 def monomial_index(nvars, degree):
     """Monomial -> position in monomials_of_degree(nvars, degree)."""
     return {m: k for k, m in enumerate(monomials_of_degree(nvars, degree))}

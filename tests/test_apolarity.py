@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,15 @@ from bettiforge import (
     socle_dims,
     standard_linear_form,
 )
-from bettiforge.errors import PreconditionError, UnitIdealError
+from bettiforge.errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    PreconditionError,
+    UnitIdealError,
+)
 from bettiforge.exactalg import rank_of_rows
-from bettiforge.hilbert import is_symmetric
 
-from helpers import sorted_multisets
+from helpers import is_symmetric, sorted_multisets
 
 
 def vp(i, d, n, field=QQ):
@@ -192,6 +198,16 @@ def test_lefschetz_detects_failure():
     assert wlp.verdict == "WLP"  # single steps by x1 are still maximal rank
 
 
+def test_lefschetz_refuses_a_form_from_another_ring():
+    # more variables, fewer variables, another field than the quotient's
+    quot = ideal_slices(power_ideal((2, 2, 2), None, GF_DEFAULT))
+    for ell, error in [(standard_linear_form(4, GF_DEFAULT), DimensionMismatchError),
+                       (standard_linear_form(2, GF_DEFAULT), DimensionMismatchError),
+                       (standard_linear_form(3, QQ), FieldMismatchError)]:
+        with pytest.raises(error):
+            lefschetz_check(quot, ell)
+
+
 def _power(ell, j):
     out = ell
     for _ in range(j - 1):
@@ -201,8 +217,9 @@ def _power(ell, j):
 
 @pytest.mark.parametrize("field", [QQ, GF_DEFAULT], ids=str)
 def test_lefschetz_ranks_match_the_maps_by_each_power(field):
-    # the checks compose the maps by ell; every rank must be that of the map
-    # by the power itself, for a general form and for two that fail
+    # the checks rank the map by each power of ell; every rank must be that of
+    # the product of the one-step maps by ell from A_i, A_(i+1), .., A_(i+j-1),
+    # for a general form and for two that fail
     quot = ideal_slices([vp(0, 3, 3, field), vp(1, 2, 3, field), vp(2, 3, 3, field)])
     x0, x1 = vp(0, 1, 3, field), vp(1, 1, 3, field)
     maximal = []
@@ -210,8 +227,10 @@ def test_lefschetz_ranks_match_the_maps_by_each_power(field):
         rep = lefschetz_check(quot, ell)
         assert max(c.power for c in rep.checks) == quot.socle_degree
         for c in rep.checks:
-            assert c.rank == rank_of_rows(quot.mult_poly(_power(ell, c.power), c.source_degree),
-                                          c.dim_source, field), (ell, c)
+            i, j = c.source_degree, c.power
+            steps = [quot.mult_poly(ell, d) for d in range(i, i + j)]
+            chain = reduce(lambda a, b: field.reduce(a @ b), steps)
+            assert c.rank == rank_of_rows(chain, c.dim_target, field), (ell, c)
         maximal.append(rep.verdict == "SLP")
     assert maximal == [True, False, False]
 
@@ -256,7 +275,7 @@ def test_lefschetz_ranks_and_verdict_match_ranking_every_map(quot, coeffs, mode)
         h0, h1 = quot.hf(c.source_degree), quot.hf(c.source_degree + c.power)
         assert (c.dim_source, c.dim_target) == (h0, h1)
         assert c.rank == rank_of_rows(quot.mult_poly(_power(ell, c.power), c.source_degree),
-                                      h0, field), (ell, c)
+                                      h1, field), (ell, c)
     maximal = {(c.source_degree, c.power): c.maximal for c in rep.checks}
     if all(maximal.values()):
         verdict = mode

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bettiforge.cli as cli
 from bettiforge import BettiTable, betti_formula
-from bettiforge.cli import betti_from_json_dict, betti_to_json_dict, main
+from bettiforge.cli import betti_to_json_dict, main
 
 
 def test_check_syzygy_refuses_even_reduced_sum(capsys):
@@ -492,6 +492,13 @@ def test_even_sum_without_a_usable_square_is_refused(argv, t, capsys):
 betti_tables = st.dictionaries(
     st.integers(0, 5).flatmap(lambda i: st.tuples(st.just(i), st.integers(i, i + 8))),
     st.integers(1, 500), max_size=12).map(BettiTable)
+
+
+def betti_from_json_dict(data):
+    table = BettiTable()
+    for entry in data["entries"]:
+        table.set(entry["i"], entry["j"], entry["beta"])
+    return table
 
 
 @settings(max_examples=60, deadline=None)

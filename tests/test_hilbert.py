@@ -12,7 +12,8 @@ from bettiforge import (
     series_numerator,
 )
 from bettiforge.errors import MinimalityError, ParityError, PreconditionError
-from bettiforge.hilbert import is_symmetric
+
+from helpers import is_symmetric
 
 
 def brute_ci_series(degrees):

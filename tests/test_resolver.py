@@ -205,10 +205,11 @@ def test_products_class_matrix_is_the_reduced_products(field, terms, monkeypatch
     # row m is the class of m * g in degree k + deg g: the product formed by
     # `dot` and reduced by that degree's basis, over every monomial m, over
     # the monomials at explicit positions `monos`, and over the standard ones
-    # (`mult_poly`), and so is column m of `mult_variable` for g = x_v, over
-    # the standard m; on the quotient by the power ideal, by its monomials
-    # alone, whose bases have no tail, so that no matrix product is formed,
-    # and by the link, whose bases are dense
+    # (`mult_poly`, which has the rank of all the rows, as I_k * g lies in I),
+    # and so is column m of `mult_variable` for g = x_v, over the standard m;
+    # on the quotient by the power ideal, by its monomials alone, whose bases
+    # have no tail, so that no matrix product is formed, by the link, whose
+    # bases are dense, and by a non-Artinian ideal cut off at degree 7
     g = Polynomial.from_terms(3, field, terms)
     sub_matmul, products = type(field).sub_matmul, []
 
@@ -223,9 +224,10 @@ def test_products_class_matrix_is_the_reduced_products(field, terms, monkeypatch
 
     gens = power_ideal((4, 4, 4), 3, field)
     for quot, formed in [(ideal_slices(gens), True), (ideal_slices(gens[:3]), False),
-                         (linked_ideal(DegreeSequence(3, (4, 4, 4), 3), field), True)]:
+                         (linked_ideal(DegreeSequence(3, (4, 4, 4), 3), field), True),
+                         (ideal_slices([gens[0], gens[3]], max_degree=7), True)]:
         products.clear()
-        for k in range(quot.socle_degree - g.degree + 1):
+        for k in range(len(quot.hilbert()) - g.degree):
             expected = reduced_products(g, k)
             with monkeypatch.context() as patch:
                 patch.setattr(type(field), "sub_matmul", spy)
@@ -233,7 +235,10 @@ def test_products_class_matrix_is_the_reduced_products(field, terms, monkeypatch
             monos = list(range(len(expected)))[::-2]
             assert quot.products_class_matrix(g, k, monos).tolist() == expected[monos].tolist()
             support = list(quot.bases[k].support)
-            assert quot.mult_poly(g, k).T.tolist() == expected[support].tolist()
+            assert quot.mult_poly(g, k).tolist() == expected[support].tolist()
+            h = quot.hf(k + g.degree)
+            assert rank_of_rows(quot.mult_poly(g, k), h, field) == \
+                rank_of_rows(quot.products_class_matrix(g, k), h, field)
             for v in range(3):
                 shifted = reduced_products(Polynomial.variable(v, 3, field), k)[support]
                 assert quot.mult_variable(v, k).T.tolist() == shifted.tolist()
